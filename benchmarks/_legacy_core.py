@@ -194,6 +194,13 @@ class LegacySimulator:
         return self.call_at(self._now + delay, action, priority=priority,
                             label=label)
 
+    def post(self, delay: int, fn: Callable[..., None],
+             args: tuple = ()) -> None:
+        """Adapter, not legacy code: the shared current kernel, detector
+        and injector schedule through ``Simulator.post``.  None of them
+        is on the measured healthy path."""
+        self.call_after(delay, lambda: fn(*args))
+
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         if self._running:

@@ -299,6 +299,13 @@ class P3Simulator:
         return self._heap.push(self.now + delay, action, priority=priority,
                                label=label)
 
+    def post(self, delay: int, fn: Callable[..., None],
+             args: tuple = ()) -> None:
+        """Adapter, not PR 3 code: the shared current kernel, detector and
+        injector schedule through ``Simulator.post``.  None of them is on
+        the measured healthy path."""
+        self.call_after(delay, lambda: fn(*args))
+
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
         if self._running:
@@ -1075,6 +1082,19 @@ _P3_DEFERRED_SYSCALLS = (Read, Write, ReadAny, Open, Close, Fork, GetTime,
                          Alarm, Yield)
 
 
+def _p3_attach_labels(pcb: ProcessControlBlock) -> None:
+    """The per-process event labels the PR 3 PCB built in its
+    ``__post_init__``; the current PCB no longer carries them, so the
+    PR 3 scheduler attaches them at a process's first assignment."""
+    pid = pcb.pid
+    pcb.label_start = f"sched.start:{pid}"
+    pcb.label_compute = f"sched.compute:{pid}"
+    pcb.label_sys = f"sched.sys:{pid}"
+    pcb.label_priv = f"sched.priv:{pid}"
+    pcb.label_sync = f"sched.sync:{pid}"
+    pcb.label_signal = f"sched.signal:{pid}"
+
+
 class P3Scheduler:
     """The PR 3 scheduler: fresh txn + context + register-dict copy per
     step, one closure per continuation."""
@@ -1128,6 +1148,8 @@ class P3Scheduler:
         pcb.on_processor = proc.index
         pcb.quantum_used = 0
         proc.current_pid = pcb.pid
+        if not hasattr(pcb, "label_start"):
+            _p3_attach_labels(pcb)
         cost = self.kernel.config.costs.context_switch
         self._charge(proc, pcb, cost, "context_switch")
         self.kernel.sim.call_after(cost, lambda: self._step(proc, pcb),

@@ -278,7 +278,7 @@ class Machine:
         if at is None:
             do_crash()
         else:
-            self.sim.call_at(at, do_crash, label=f"crash:{cluster_id}")
+            self.sim.post(at - self.sim.now, do_crash)
 
     def _on_fatal_hardware(self, cluster_id: ClusterId,
                            reason: str) -> None:
@@ -303,7 +303,7 @@ class Machine:
         if at is None:
             do_fail()
         else:
-            self.sim.call_at(at, do_fail, label=f"procfail:{pid}")
+            self.sim.post(at - self.sim.now, do_fail)
 
     def restore_cluster(self, cluster_id: ClusterId) -> None:
         """Return a crashed cluster to service with a fresh kernel.
@@ -395,7 +395,7 @@ class Machine:
         if at is None:
             deliver()
         else:
-            self.sim.call_at(at, deliver, label="tty_input")
+            self.sim.post(at - self.sim.now, deliver)
 
     def tty_output(self) -> List[str]:
         """Lines printed at the terminal, in device order (the externally

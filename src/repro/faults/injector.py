@@ -99,7 +99,6 @@ def nth_promotion(nth: int = 1, after: int = 0) -> TracePoint:
 class _Armed:
     point: TracePoint
     action: Callable[[TraceRecord], None]
-    label: str
     seen: int = 0
     fired: bool = False
 
@@ -143,44 +142,39 @@ class FaultInjector:
     # schedule-driven points
     # ------------------------------------------------------------------
 
+    def _post_at(self, time: Ticks, fn: Callable[..., None],
+                 args: tuple) -> None:
+        sim = self.machine.sim
+        sim.post(time - sim.now, fn, args)
+
     def crash_at(self, cluster: ClusterId, time: Ticks) -> None:
         """Hard-crash ``cluster`` at absolute virtual ``time``."""
-        self.machine.sim.call_at(
-            time, lambda: self._do_crash(cluster),
-            label=f"fault.crash:{cluster}")
+        self._post_at(time, self._do_crash, (cluster,))
 
     def restore_at(self, cluster: ClusterId, time: Ticks) -> None:
         """Return ``cluster`` to service at ``time`` (no-op if it is not
         down then — e.g. the planned crash itself never happened)."""
-        self.machine.sim.call_at(
-            time, lambda: self._do_restore(cluster),
-            label=f"fault.restore:{cluster}")
+        self._post_at(time, self._do_restore, (cluster,))
 
     def fail_process_at(self, pid: Pid, time: Ticks) -> None:
         """Fail one process at ``time`` if it is still running somewhere
         (a process that already exited is left alone)."""
-        self.machine.sim.call_at(
-            time, lambda: self._do_fail_process(pid),
-            label=f"fault.procfail:{pid}")
+        self._post_at(time, self._do_fail_process, (pid,))
 
     def fail_drive_at(self, disk: str, which: int, time: Ticks) -> None:
         """Fail one drive of a mirrored disk at ``time`` (no-op if that
         drive is already dead)."""
-        self.machine.sim.call_at(
-            time, lambda: self._do_fail_drive(disk, which),
-            label=f"fault.drivefail:{disk}:{which}")
+        self._post_at(time, self._do_fail_drive, (disk, which))
 
     # ------------------------------------------------------------------
     # semantic trigger points
     # ------------------------------------------------------------------
 
     def on(self, point: TracePoint,
-           action: Callable[[TraceRecord], None],
-           label: str = "") -> None:
+           action: Callable[[TraceRecord], None]) -> None:
         """Arm ``action`` to run (as a zero-delay event) when ``point``
         occurs.  The triggering record is passed to the action."""
-        self._armed.append(_Armed(point=point, action=action,
-                                  label=label or point.describe()))
+        self._armed.append(_Armed(point=point, action=action))
         if point.category not in self._subscribed:
             self._subscribed.add(point.category)
             self.machine.trace.subscribe(self._on_record,
@@ -204,7 +198,7 @@ class FaultInjector:
             if victim is not None:
                 self._do_crash(victim)
 
-        self.on(point, action, label=f"crash_on:{point.describe()}")
+        self.on(point, action)
 
     # ------------------------------------------------------------------
     # internals
@@ -220,9 +214,7 @@ class FaultInjector:
             armed.fired = True
             # Never act inside the emitting event: a zero-delay event
             # lands deterministically right after it at the same tick.
-            self.machine.sim.call_after(
-                0, lambda a=armed, r=record: a.action(r),
-                label=f"fault.trigger:{armed.label}")
+            self.machine.sim.post(0, armed.action, (record,))
 
     def _do_crash(self, cluster: ClusterId) -> None:
         if not self.machine.clusters[cluster].alive:

@@ -200,8 +200,7 @@ class InterclusterBus:
             self._trace.emit(self._sim.now, "bus.transmit", src=src,
                              msg=message.describe(),
                              targets=message.target_clusters())
-        self._sim.call_after(duration, lambda: self._complete(transmission),
-                             label="bus.complete")
+        self._sim.post(duration, self._complete, (transmission,))
 
     def _complete(self, transmission: _Transmission) -> None:
         if self._current is not transmission:
@@ -291,10 +290,8 @@ class InterclusterBus:
                              targets=message.target_clusters(),
                              link=link.link_id, seq=transmission.seqno,
                              attempt=transmission.attempts)
-        self._sim.call_after(duration,
-                             lambda: self._complete_attempt(transmission,
-                                                            link),
-                             label="bus.complete")
+        self._sim.post(duration, self._complete_attempt,
+                       (transmission, link))
 
     def _complete_attempt(self, transmission: _Transmission,
                           link) -> None:
@@ -338,8 +335,7 @@ class InterclusterBus:
                              active_link=fresh.link_id,
                              consecutive=link.consecutive_failures)
         backoff = faults.backoff(transmission.attempts)
-        self._sim.call_after(backoff, lambda: self._retry(transmission),
-                             label="bus.retry")
+        self._sim.post(backoff, self._retry, (transmission,))
 
     def _retry(self, transmission: _Transmission) -> None:
         if self._current is not transmission:

@@ -61,9 +61,10 @@ class Cluster:
         self.kernel: Optional["ClusterKernel"] = None
         self._outgoing: Deque[Message] = deque()
         self._arrival_seqno = 0
-        #: Built once: one dispatch work item is submitted per outgoing
-        #: message, and the closure allocation per send was measurable.
-        self._request_bus = lambda: bus.request(cluster_id)
+        #: The dispatch work item submitted per outgoing message, built
+        #: once: ``bus.request(cluster_id)`` as callable plus args.
+        self._bus_request = bus.request
+        self._bus_request_args = (cluster_id,)
         self._dispatch_cost = config.costs.exec_dispatch
         #: Per-leg delivery costs, hoisted: ``receive`` runs for every
         #: delivery leg of every transmission on the machine.
@@ -86,8 +87,8 @@ class Cluster:
             return
         self._outgoing.append(message)
         if self.outgoing_enabled:
-            self.executive.submit(self._dispatch_cost, self._request_bus,
-                                  label="dispatch")
+            self.executive.submit(self._dispatch_cost, self._bus_request,
+                                  "dispatch", self._bus_request_args)
 
     def pop_outgoing(self) -> Optional[Message]:
         """Called by the bus when granting this cluster a transmission."""
@@ -110,8 +111,8 @@ class Cluster:
         """Re-enable transmissions after crash handling and re-arm the bus."""
         self.outgoing_enabled = True
         if self._outgoing:
-            self.executive.submit(self._dispatch_cost, self._request_bus,
-                                  label="dispatch")
+            self.executive.submit(self._dispatch_cost, self._bus_request,
+                                  "dispatch", self._bus_request_args)
 
     def replace_outgoing(self, messages: List[Message]) -> None:
         """Swap the outgoing queue contents (crash handling rewrites

@@ -55,7 +55,7 @@ class ExecutiveProcessor:
                  metrics: MetricSet) -> None:
         self.cluster_id = cluster_id
         self.resource_name = f"executive[c{cluster_id}]"
-        self._sim = sim
+        self._post = sim.post
         self._metrics = metrics
         #: Alias of the metric set's busy store (mutated in place, never
         #: replaced): one charge per executive work item, and the
@@ -69,7 +69,7 @@ class ExecutiveProcessor:
         self._halted = False
         self._current: Optional[Callable[..., None]] = None
         self._current_args: tuple = ()
-        self._event_label = f"exec[c{cluster_id}]"
+        self._complete_cb = self._on_complete
 
     @property
     def queue_depth(self) -> int:
@@ -87,34 +87,37 @@ class ExecutiveProcessor:
         """
         if self._halted:
             return
-        self._queue.append((cost, action, label, args))
-        if not self._busy:
-            self._start_next()
+        if self._busy:
+            self._queue.append((cost, action, label, args))
+            return
+        # Idle (so nothing is queued): start the item at once.  The
+        # executive is strictly serial, so the in-flight action can live
+        # in an attribute and completion can be a bound method — no
+        # closure per work item on the hottest hardware path.
+        self._busy = True
+        self._mbusy[(self.resource_name, label)] += cost
+        self._current = action
+        self._current_args = args
+        self._post(cost, self._complete_cb)
 
     def halt(self) -> None:
         """Crash: discard all queued work and accept no more."""
         self._halted = True
         self._queue.clear()
 
-    def _start_next(self) -> None:
-        if self._halted or not self._queue:
-            self._busy = False
-            self._current = None
-            return
-        cost, action, label, args = self._queue.popleft()
-        self._busy = True
-        self._mbusy[(self.resource_name, label)] += cost
-        # The executive is strictly serial, so the in-flight action can
-        # live in an attribute and completion can be a bound method —
-        # avoids building a closure per work item on the hottest
-        # hardware path.
-        self._current = action
-        self._current_args = args
-        self._sim.call_after(cost, self._on_complete, label=self._event_label)
-
     def _on_complete(self) -> None:
         # A crash may have landed between scheduling and completion.
         if self._halted:
             return
         self._current(*self._current_args)
-        self._start_next()
+        # The action may have crashed this cluster (halt() emptied the
+        # queue) or submitted more work (queued behind it: still busy).
+        if not self._queue:
+            self._busy = False
+            self._current = None
+            return
+        cost, action, label, args = self._queue.popleft()
+        self._mbusy[(self.resource_name, label)] += cost
+        self._current = action
+        self._current_args = args
+        self._post(cost, self._complete_cb)

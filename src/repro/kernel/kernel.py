@@ -852,8 +852,7 @@ class ClusterKernel:
                        delay: Ticks) -> None:
         deadline = self.sim.now + delay
         pcb.pending_alarms.append((seq, deadline))
-        self.sim.call_after(delay, lambda: self._fire_alarm(pcb.pid, seq),
-                            label=f"alarm:{pcb.pid}:{seq}")
+        self.sim.post(delay, self._fire_alarm, (pcb.pid, seq))
 
     def _fire_alarm(self, pid: Pid, seq: int) -> None:
         if not self.alive:

@@ -108,18 +108,6 @@ class ProcessControlBlock:
     #: actual signal *messages* sit on the signal channel's routing entry.
     total_steps: int = 0
 
-    def __post_init__(self) -> None:
-        # Scheduler event labels, built once per process: the step engine
-        # stamps one of these on every continuation event it schedules,
-        # and per-event f-strings are measurable at OLTP event rates.
-        pid = self.pid
-        self.label_start = f"sched.start:{pid}"
-        self.label_compute = f"sched.compute:{pid}"
-        self.label_sys = f"sched.sys:{pid}"
-        self.label_priv = f"sched.priv:{pid}"
-        self.label_sync = f"sched.sync:{pid}"
-        self.label_signal = f"sched.signal:{pid}"
-
     def alloc_fd(self, channel_id: ChannelId) -> Fd:
         """Assign the next file descriptor (deterministic counter)."""
         fd = self.next_fd

@@ -73,23 +73,31 @@ class Scheduler:
 
     * one :class:`StepContext` + :class:`MemoryTxn` pair is cached per
       PCB and reset per step instead of allocated per step;
-    * the ``proc``/``pcb`` continuation closures are created once per
-      processor *assignment* (``_assign``) and reused by every step the
-      assignment runs, instead of one fresh closure per step;
-    * `sim.call_after` and `metrics.add_busy` are bound once at
-      construction;
+    * continuations are posted handle-free as a bound method plus a
+      ``(proc, pcb)`` argument tuple (``sim.post``): no closure, no
+      event handle and no label per scheduled step;
+    * a continuation enters the step body directly (``_continue`` has
+      just made the liveness and identity checks ``_step`` would
+      repeat), and a ``Compute`` result is charged and re-posted at the
+      tail of the step without a trip through ``_perform_action``;
+    * `sim.post`, the continuation methods and the busy store are bound
+      once at construction;
     * action dispatch is exact-type dict lookups instead of isinstance
       chains.
     """
 
     def __init__(self, kernel: "ClusterKernel") -> None:
         self.kernel = kernel
+        #: Names the partition this scheduler's events belong to (read by
+        #: :class:`~repro.sim.parallel.ParallelMachineLoop`).
+        self.cluster_id = kernel.cluster_id
         self._ready_high: Deque[Pid] = deque()
         self._ready_normal: Deque[Pid] = deque()
         # Hot-path bindings (kernel.sim/metrics are fixed for the
         # kernel's lifetime; a revived cluster builds a fresh kernel).
-        self._call_after = kernel.sim.call_after
-        self._add_busy = kernel.metrics.add_busy
+        self._post = kernel.sim.post
+        self._step_cb = self._step
+        self._continue_cb = self._continue
         # The busy store itself (mutated in place, never replaced): the
         # per-step user/syscall charges skip even the add_busy call layer.
         self._busy_acc = kernel.metrics._busy
@@ -131,10 +139,17 @@ class Scheduler:
         return None
 
     def has_ready(self) -> bool:
-        return any(self.kernel.pcbs.get(pid) is not None
-                   and self.kernel.pcbs[pid].state is ProcState.READY
-                   for queue in (self._ready_high, self._ready_normal)
-                   for pid in queue)
+        # Reached on every expired quantum, almost always with nothing
+        # queued: answer that case without building the scan.
+        if not self._ready_high and not self._ready_normal:
+            return False
+        pcbs = self.kernel.pcbs
+        for queue in (self._ready_high, self._ready_normal):
+            for pid in queue:
+                pcb = pcbs.get(pid)
+                if pcb is not None and pcb.state is ProcState.READY:
+                    return True
+        return False
 
     def dispatch(self) -> None:
         """Assign ready processes to idle work processors."""
@@ -154,16 +169,9 @@ class Scheduler:
         pcb.on_processor = proc.index
         pcb.quantum_used = 0
         proc.current_pid = pcb.pid
-        # Continuations for this assignment, reused by every step it runs.
-        # Safe to cache: a PCB schedules at most one continuation at a
-        # time, and it cannot be re-assigned (which would rebind these)
-        # while one is pending — RUNNING processes are never in a ready
-        # queue.
-        pcb._sched_step = step = lambda: self._step(proc, pcb)
-        pcb._sched_continue = lambda: self._continue(proc, pcb)
         cost = self.kernel.config.costs.context_switch
         self._charge(proc, pcb, cost, "context_switch")
-        self._call_after(cost, step, label=pcb.label_start)
+        self._post(cost, self._step_cb, (proc, pcb))
 
     def _release(self, proc: WorkProcessor,
                  pcb: Optional[ProcessControlBlock]) -> None:
@@ -188,6 +196,9 @@ class Scheduler:
     # -- the step engine ------------------------------------------------------
 
     def _step(self, proc: WorkProcessor, pcb: ProcessControlBlock) -> None:
+        """A step posted across a delay (context switch, sync or
+        checkpoint stall): the cluster may have crashed and the process
+        exited or been replaced meanwhile."""
         kernel = self.kernel
         if not kernel.alive:
             return
@@ -196,6 +207,13 @@ class Scheduler:
                 or pcb.state is ProcState.EXITED:
             self._release(proc, pcb)
             return
+        self._run_step(proc, pcb)
+
+    def _run_step(self, proc: WorkProcessor,
+                  pcb: ProcessControlBlock) -> None:
+        """The step body.  The caller has established, in this same
+        event, that the kernel is alive and ``pcb`` is the live PCB."""
+        kernel = self.kernel
 
         # 1. Resolve a pending block.
         block = pcb.block
@@ -256,10 +274,20 @@ class Scheduler:
             self._release(proc, pcb)
             return
         # Commit the step's memory and register effects, then act.
-        txn.commit()
+        if txn._writes:
+            txn.commit()
         pcb.regs = regs
         pcb.total_steps += 1
         pcb.ops_since_checkpoint += 1
+        if action.__class__ is Compute:
+            # The commonest result by far: charge it and post the
+            # continuation here (pcb.note_exec inlined).
+            cost = action.cost
+            self._busy_acc[(proc.resource_name, "user")] += cost
+            pcb.exec_since_sync += cost
+            pcb.quantum_used += cost
+            self._post(cost, self._continue_cb, (proc, pcb))
+            return
         self._perform_action(proc, pcb, action)
 
     def _resolve_block(self, proc: WorkProcessor,
@@ -313,16 +341,7 @@ class Scheduler:
 
         stall = perform_checkpoint(self.kernel, pcb)
         self._charge(proc, pcb, stall, "checkpoint_stall")
-        def resume() -> None:
-            if not self.kernel.alive:
-                return
-            if self._gone(pcb):
-                self._release(proc, pcb)
-                return
-            self._step(proc, pcb)
-
-        self.kernel.sim.call_after(stall, resume,
-                                   label=f"sched.checkpoint:{pcb.pid}")
+        self._post(stall, self._step_cb, (proc, pcb))
 
     def _do_sync(self, proc: WorkProcessor, pcb: ProcessControlBlock,
                  then_signal: bool = False) -> None:
@@ -331,19 +350,18 @@ class Scheduler:
         stall = perform_sync(self.kernel, pcb)
         self._charge(proc, pcb, stall, "sync_stall")
         pcb.exec_since_sync = 0
+        self._post(stall,
+                   self._signal_after_sync if then_signal else self._step_cb,
+                   (proc, pcb))
 
-        def resume() -> None:
-            if not self.kernel.alive:
-                return
-            if self._gone(pcb):
-                self._release(proc, pcb)
-                return
-            if then_signal:
-                self._handle_signal(proc, pcb)
-            else:
-                self._step(proc, pcb)
-
-        self.kernel.sim.call_after(stall, resume, label=pcb.label_sync)
+    def _signal_after_sync(self, proc: WorkProcessor,
+                           pcb: ProcessControlBlock) -> None:
+        if not self.kernel.alive:
+            return
+        if self._gone(pcb):
+            self._release(proc, pcb)
+            return
+        self._handle_signal(proc, pcb)
 
     def _handle_signal(self, proc: WorkProcessor,
                        pcb: ProcessControlBlock) -> None:
@@ -368,7 +386,7 @@ class Scheduler:
         pcb.regs = regs
         cost = self._syscall_overhead
         self._charge(proc, pcb, cost, "signal")
-        self._call_after(cost, pcb._sched_continue, label=pcb.label_signal)
+        self._post(cost, self._continue_cb, (proc, pcb))
 
     # -- action interpretation ---------------------------------------------
 
@@ -376,14 +394,6 @@ class Scheduler:
                         pcb: ProcessControlBlock, action: Any) -> None:
         kernel = self.kernel
         cls = action.__class__
-
-        if cls is Compute:
-            cost = action.cost
-            self._busy_acc[(proc.resource_name, "user")] += cost
-            pcb.note_exec(cost)
-            self._call_after(cost, pcb._sched_continue,
-                             label=pcb.label_compute)
-            return
 
         if cls is Exit:
             kernel.exit_process(pcb, action.code)
@@ -407,18 +417,13 @@ class Scheduler:
                 pcb.regs["rv"] = kernel.read_clock(pcb)
             else:  # Poll
                 pcb.regs["rv"] = kernel.poll_read(pcb, action.fd)
-            self._call_after(overhead, pcb._sched_continue,
-                             label=pcb.label_sys)
+            self._post(overhead, self._continue_cb, (proc, pcb))
             return
 
         if cls in _DEFERRED_SET:
-            # One continuation closure per syscall; the liveness checks
-            # and the action-type dispatch both run after the overhead
-            # delay, inside _finish_syscall.
-            self._call_after(
-                overhead,
-                lambda: self._finish_syscall(proc, pcb, action),
-                label=pcb.label_sys)
+            # The liveness checks and the action-type dispatch both run
+            # after the overhead delay, inside _finish_syscall.
+            self._post(overhead, self._finish_syscall, (proc, pcb, action))
             return
 
         handler = kernel.action_handlers.get(cls)
@@ -437,8 +442,7 @@ class Scheduler:
         pcb.regs["rv"] = rv
         if cost:
             self._charge(proc, pcb, cost, "privileged")
-        self._call_after(overhead + cost, pcb._sched_continue,
-                         label=pcb.label_priv)
+        self._post(overhead + cost, self._continue_cb, (proc, pcb))
 
     def _finish_syscall(self, proc: WorkProcessor,
                         pcb: ProcessControlBlock, action: Any) -> None:
@@ -567,7 +571,8 @@ class Scheduler:
         if pcb.quantum_used >= self._quantum and self.has_ready():
             self._requeue(proc, pcb)
             return
-        self._step(proc, pcb)
+        # Straight into the body: every check _step makes was made above.
+        self._run_step(proc, pcb)
 
     def _requeue(self, proc: WorkProcessor,
                  pcb: ProcessControlBlock) -> None:

@@ -100,8 +100,7 @@ def _run_crash_processes(kernel: "ClusterKernel", crashed: ClusterId,
                           cluster=kernel.cluster_id, crashed=crashed,
                           touched=touched, promoted=promoted, held=held)
 
-    kernel.sim.call_after(elapsed, finish,
-                          label=f"crash_finish:{kernel.cluster_id}")
+    kernel.sim.post(elapsed, finish)
 
 
 def _adjust_outgoing(kernel: "ClusterKernel", crashed: ClusterId

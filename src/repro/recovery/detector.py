@@ -30,8 +30,5 @@ def schedule_detection(kernels: Iterable["ClusterKernel"],
         if not kernel.alive or kernel.cluster_id == crashed:
             continue
         delay = kernel.config.poll_interval + kernel.cluster_id + 1
-        kernel.sim.call_after(
-            delay,
-            lambda k=kernel: begin_crash_handling(k, crashed),
-            label=f"detect:{kernel.cluster_id}->{crashed}")
+        kernel.sim.post(delay, begin_crash_handling, (kernel, crashed))
         kernel.metrics.incr("recovery.detections_scheduled")

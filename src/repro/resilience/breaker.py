@@ -109,10 +109,8 @@ class CircuitBreakerLayer:
         breaker.opened_at = machine.sim.now
         machine.trace.emit(machine.sim.now, "resilience.breaker.open",
                            src=src, dst=dst)
-        machine.sim.call_after(
-            self.cooldown,
-            lambda at=breaker.opened_at: self._half_open(src, dst, at),
-            label=f"breaker_cooldown:{src}->{dst}")
+        machine.sim.post(self.cooldown, self._half_open,
+                         (src, dst, breaker.opened_at))
 
     def _half_open(self, src: Optional[ClusterId], dst: ClusterId,
                    opened_at: Ticks) -> None:

@@ -134,9 +134,7 @@ class DeadLetterLayer:
     # -- drain --------------------------------------------------------------
 
     def _schedule_retry(self, record: DeadLetter) -> None:
-        self.machine.sim.call_after(
-            self.retry_after, lambda: self._retry(record),
-            label=f"dlq_retry:{record.reason}")
+        self.machine.sim.post(self.retry_after, self._retry, (record,))
 
     def _give_up(self, record: DeadLetter) -> None:
         record.dead = True

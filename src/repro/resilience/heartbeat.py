@@ -94,10 +94,8 @@ class HeartbeatMonitor:
             if observer == crashed:
                 continue
             when = self._suspicion_time(last_missed, observer)
-            self.machine.sim.call_after(
-                when - now,
-                lambda obs=observer: self._confirm(obs, crashed),
-                label=f"hb_detect:{observer}->{crashed}")
+            self.machine.sim.post(when - now, self._confirm,
+                                  (observer, crashed))
 
     def _confirm(self, observer: ClusterId, suspect: ClusterId) -> None:
         """Suspicion point reached: act only if the suspect is still
@@ -151,10 +149,7 @@ class HeartbeatMonitor:
                                  observer, sender))
                 index += 1
         for when, observer, sender in suspicions:
-            self.machine.sim.call_after(
-                when,
-                lambda obs=observer, s=sender: self._suspect(obs, s),
-                label=f"hb_suspect:{observer}->{sender}")
+            self.machine.sim.post(when, self._suspect, (observer, sender))
 
     def _suspect(self, observer: ClusterId, suspect: ClusterId) -> None:
         """A loss streak crossed the threshold: verify before believing.

@@ -15,19 +15,27 @@ behave identically).  Two design rules enforce it here:
 * Virtual time is an integer number of *ticks* (we interpret one tick as a
   microsecond throughout), so there is no floating-point drift.
 
-Performance: the heap stores plain ``(time, priority, seq, event)`` tuples
-so every sift comparison is a C-level tuple compare — ``seq`` is unique,
-so two entries never tie and the :class:`Event` objects themselves are
-never compared during heap maintenance.  ``Event`` uses ``__slots__`` and
-a hand-written ``__init__``; at millions of events per run the dataclass
+Performance: the heap stores plain ``(time, priority, seq, handle, fn,
+args)`` tuples so every sift comparison is a C-level tuple compare —
+``seq`` is unique, so two entries never tie and nothing after it is ever
+compared during heap maintenance.  ``Event`` uses ``__slots__`` and a
+hand-written ``__init__``; at millions of events per run the dataclass
 machinery it replaced was a measurable fraction of total wall-clock
 (see ``docs/performance.md``).
+
+Two kinds of entry share that layout.  A *cancellable* one
+(:meth:`EventHeap.push`) carries the :class:`Event` handed back to the
+caller in the handle slot.  A *posted* one (:meth:`EventHeap.post`) is
+fire-and-forget: nobody holds a handle, so none is allocated and the
+slot holds the shared, never-cancelled :data:`POSTED` sentinel.  Both
+draw ``seq`` from the same counter, so which kind an entry is never
+changes where it sorts.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
 
 class SimulationError(Exception):
@@ -46,17 +54,20 @@ class Event:
     scheduled for the same tick.
     """
 
-    __slots__ = ("time", "priority", "seq", "action", "label", "cancelled")
+    __slots__ = ("time", "priority", "seq", "action", "label", "cancelled",
+                 "args")
 
     def __init__(self, time: int, priority: int, seq: int,
-                 action: Callable[[], None], label: str = "",
-                 cancelled: bool = False) -> None:
+                 action: Callable[..., None], label: str = "",
+                 cancelled: bool = False, args: tuple = ()) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
         self.action = action
         self.label = label
         self.cancelled = cancelled
+        #: Positional arguments the loop passes to ``action``.
+        self.args = args
 
     def cancel(self) -> None:
         """Mark the event so the event loop skips it when popped."""
@@ -94,15 +105,44 @@ class Event:
                 f"seq={self.seq}, label={self.label!r}{state})")
 
 
-#: One heap entry: the comparison key inline, then the event handle and
-#: the bare callback.  ``seq`` is unique, so the trailing elements never
-#: meet a comparison; carrying the action in the entry saves the
-#: per-dispatch attribute load on the event loop's hot path.
-_Entry = Tuple[int, int, int, Event, Callable[[], None]]
+class _Posted:
+    """Handle-slot stand-in of a posted entry: shared and never cancelled,
+    so every ``entry[3].cancelled`` scan reads ``False`` without a branch
+    on the entry's kind."""
+
+    __slots__ = ()
+    cancelled = False
+
+
+#: The one :class:`_Posted` instance.
+POSTED = _Posted()
+
+#: One heap entry: the comparison key inline, then the handle (an
+#: :class:`Event` or :data:`POSTED`), the bare callback and its
+#: arguments.  ``seq`` is unique, so the trailing elements never meet a
+#: comparison; carrying the callback in the entry saves the per-dispatch
+#: attribute load on the event loop's hot path.
+_Entry = Tuple[int, int, int, Union[Event, _Posted], Callable[..., None],
+               tuple]
+
+
+def _event_of(entry: _Entry) -> Event:
+    """The :class:`Event` a popped entry stands for.  A posted entry has
+    none until somebody asks (the pop API, the backend-neutral loops), so
+    one is built here from the entry's own key."""
+    handle = entry[3]
+    if handle is POSTED:
+        return Event(entry[0], entry[1], entry[2], entry[4], args=entry[5])
+    return handle
 
 
 class EventHeap:
-    """A deterministic min-heap of :class:`Event` objects.
+    """A deterministic min-heap of scheduled calls.
+
+    :meth:`push` returns a cancellable :class:`Event`; :meth:`post`
+    stores the call with no handle.  The pop API hands out ``Event``
+    objects for both (built on demand for posted entries), to be
+    dispatched as ``event.action(*event.args)``.
 
     Beyond the classic push/pop surface this exposes the *batch* protocol
     the event loop dispatches through (see :class:`~repro.sim.queues.EventQueue`
@@ -132,9 +172,10 @@ class EventHeap:
     def __len__(self) -> int:
         return self._live
 
-    def push(self, time: int, action: Callable[[], None], priority: int = 0,
-             label: str = "") -> Event:
-        """Schedule ``action`` at absolute virtual ``time`` and return the event."""
+    def push(self, time: int, action: Callable[..., None], priority: int = 0,
+             label: str = "", args: tuple = ()) -> Event:
+        """Schedule ``action(*args)`` at absolute virtual ``time`` and
+        return the (cancellable) event."""
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
         if time == self.same_time_watch:
@@ -142,9 +183,24 @@ class EventHeap:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        event = Event(time, priority, seq, action, label)
-        heappush(self._heap, (time, priority, seq, event, action))
+        event = Event(time, priority, seq, action, label, False, args)
+        heappush(self._heap, (time, priority, seq, event, action, args))
         return event
+
+    def post(self, time: int, fn: Callable[..., None],
+             args: tuple = ()) -> None:
+        """Schedule ``fn(*args)`` at absolute virtual ``time``, priority
+        0, with no handle: the same key, watch-flag and live-count
+        accounting as :meth:`push`, minus the :class:`Event` nobody
+        would keep."""
+        if time < 0:
+            raise SchedulingError(f"event time must be >= 0, got {time}")
+        if time == self.same_time_watch:
+            self.same_time_dirty = True
+        seq = self._seq
+        self._seq = seq + 1
+        self._live += 1
+        heappush(self._heap, (time, 0, seq, POSTED, fn, args))
 
     def reinsert(self, event: Event) -> None:
         """Put a popped-but-unexecuted event back, keeping its original key.
@@ -154,11 +210,12 @@ class EventHeap:
         undispatched tail of the batch is reinserted and re-popped in key
         order against the late arrivals.  The original ``(time, priority,
         seq)`` is preserved, so reinserted events keep their place in the
-        total order.
+        total order.  An event materialised from a posted entry comes
+        back as an ordinary cancellable entry under the same key.
         """
         self._live += 1
         heappush(self._heap, (event.time, event.priority, event.seq, event,
-                              event.action))
+                              event.action, event.args))
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty.
@@ -168,11 +225,11 @@ class EventHeap:
         """
         heap = self._heap
         while heap:
-            event = heappop(heap)[3]
+            entry = heappop(heap)
             self._live -= 1
-            if event.cancelled:
+            if entry[3].cancelled:
                 continue
-            return event
+            return _event_of(entry)
         return None
 
     def pop_next(self, until: Optional[int] = None) -> Optional[Event]:
@@ -196,7 +253,7 @@ class EventHeap:
                 return None
             heappop(heap)
             self._live -= 1
-            return head[3]
+            return _event_of(head)
         return None
 
     def pop_batch(self, until: Optional[int] = None,
@@ -242,11 +299,11 @@ class EventHeap:
         while heap and heap[0][0] == run_time:
             if limit is not None and len(batch) >= limit:
                 break
-            event = heappop(heap)[3]
+            entry = heappop(heap)
             self._live -= 1
-            if event.cancelled:
+            if entry[3].cancelled:
                 continue
-            batch.append(event)
+            batch.append(_event_of(entry))
         return batch
 
     def peek_time(self) -> Optional[int]:

@@ -10,10 +10,11 @@ experiments (E8) check end to end.
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from .events import Event, EventHeap, SchedulingError, SimulationError
+from .events import (POSTED, Event, EventHeap, SchedulingError,
+                     SimulationError)
 from .trace import TraceLog
 
 
@@ -48,13 +49,13 @@ class Simulator:
         self._event_count = 0
         self.trace = trace if trace is not None else TraceLog()
         if type(self._heap) is EventHeap:
-            # Shadow the method with a fused closure: call_after is the
-            # single busiest entry point (one call per scheduled event)
-            # and the generic path pays two call layers plus attribute
-            # walks that a closure over the heap's internals avoids.
-            # Pluggable backends keep the method, which routes through
-            # their own push().
-            self.call_after = self._make_fast_call_after()
+            # Shadow the method with a fused closure: post is the single
+            # busiest entry point (one call per scheduled event) and the
+            # generic path pays two call layers plus attribute walks that
+            # a closure over the heap's internals avoids.  Pluggable
+            # backends keep the method, which routes through their own
+            # push().
+            self.post = self._make_fast_post()
 
     @property
     def events_executed(self) -> int:
@@ -68,7 +69,8 @@ class Simulator:
 
     def call_at(self, time: int, action: Callable[[], None],
                 priority: int = 0, label: str = "") -> Event:
-        """Schedule ``action`` at absolute virtual ``time``."""
+        """Schedule ``action`` at absolute virtual ``time`` and return a
+        handle the caller may :meth:`~repro.sim.events.Event.cancel`."""
         if time < self.now:
             raise SchedulingError(
                 f"cannot schedule in the past: now={self.now}, requested={time}")
@@ -76,25 +78,42 @@ class Simulator:
 
     def call_after(self, delay: int, action: Callable[[], None],
                    priority: int = 0, label: str = "") -> Event:
-        """Schedule ``action`` after ``delay`` ticks from now."""
+        """Schedule ``action`` after ``delay`` ticks from now and return a
+        handle the caller may :meth:`~repro.sim.events.Event.cancel`."""
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
         # Skip call_at's in-the-past check: now + a non-negative delay can
-        # never be in the past.  This path runs once per scheduled event.
+        # never be in the past.
         return self._heap.push(self.now + delay, action, priority=priority,
                                label=label)
 
-    def _make_fast_call_after(self) -> Callable[..., Event]:
-        """Build the fused :meth:`call_after` used with the default heap:
-        :meth:`EventHeap.push` inlined into the scheduling call, with
-        identical bounds, watch-flag and live-count semantics."""
-        from heapq import heappush
+    def post(self, delay: int, fn: Callable[..., None],
+             args: tuple = ()) -> None:
+        """Schedule ``fn(*args)`` after ``delay`` ticks at priority 0,
+        fire-and-forget.
 
+        What every component of the machine schedules through: no handle
+        comes back, so nothing can cancel the call and the loop allocates
+        nothing for it beyond the queue entry.  It draws its ``seq`` from
+        the same counter as :meth:`call_at` / :meth:`call_after`, so a
+        posted call orders against every other event exactly as a
+        ``call_after`` in its place would.  Use those two when the caller
+        keeps the handle (see docs/performance.md, "Scheduling without
+        handles").
+        """
+        if delay < 0:
+            raise SchedulingError(f"delay must be >= 0, got {delay}")
+        self._heap.push(self.now + delay, fn, args=args)
+
+    def _make_fast_post(self) -> Callable[..., None]:
+        """Build the fused :meth:`post` used with the default heap:
+        :meth:`EventHeap.post` inlined into the scheduling call, with
+        identical bounds, watch-flag and live-count semantics."""
         heap = self._heap
         entries = heap._heap
 
-        def call_after(delay: int, action: Callable[[], None],
-                       priority: int = 0, label: str = "") -> Event:
+        def post(delay: int, fn: Callable[..., None],
+                 args: tuple = ()) -> None:
             if delay < 0:
                 raise SchedulingError(f"delay must be >= 0, got {delay}")
             time = self.now + delay
@@ -103,11 +122,9 @@ class Simulator:
             seq = heap._seq
             heap._seq = seq + 1
             heap._live += 1
-            event = Event(time, priority, seq, action, label)
-            heappush(entries, (time, priority, seq, event, action))
-            return event
+            heappush(entries, (time, 0, seq, POSTED, fn, args))
 
-        return call_after
+        return post
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
@@ -200,7 +217,7 @@ class Simulator:
                 if entry[3].cancelled:
                     continue
                 executed += 1
-                entry[4]()
+                entry[4](*entry[5])
                 if executed == stop_at:
                     break
         return executed
@@ -237,7 +254,7 @@ class Simulator:
                 if event.cancelled:
                     continue
                 executed += 1
-                event.action()
+                event.action(*event.args)
                 if heap.same_time_dirty:
                     for later in batch[index:]:
                         if not later.cancelled:

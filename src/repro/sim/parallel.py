@@ -49,7 +49,6 @@ import threading
 from queue import SimpleQueue
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..types import ID_SPACE
 from .events import Event, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - type-only import
@@ -65,32 +64,20 @@ RATIO_FLOOR = 0.95
 GLOBAL = -1
 
 
-def _affinity(label: str) -> int:
-    """Map an event label to its cluster partition, or :data:`GLOBAL`.
+def _affinity(action: Any) -> int:
+    """Map an event's callable to its cluster partition, or :data:`GLOBAL`.
 
-    The label conventions are the scheduler's (``sched.*:<pid>``,
-    ``alarm:<pid>:<seq>``) and the executive's (``exec[c<k>]``); pids
-    encode their home cluster in the id space.  Anything unrecognized
-    is conservatively global — misclassification can cost overlap,
-    never correctness, because ordered handoff preserves the total
-    order regardless of which worker runs a group.
+    A bound method of an object that names its cluster (``cluster_id`` on
+    the per-cluster :class:`~repro.kernel.scheduler.Scheduler`,
+    :class:`~repro.hardware.processor.ExecutiveProcessor` and kernel)
+    belongs to that cluster.  Anything else — the bus, the detector,
+    fault injection, plain functions and closures — is conservatively
+    global: misclassification can cost overlap, never correctness,
+    because ordered handoff preserves the total order regardless of
+    which worker runs a group.
     """
-    if label.startswith("sched."):
-        try:
-            return int(label.rsplit(":", 1)[1]) // ID_SPACE
-        except (IndexError, ValueError):
-            return GLOBAL
-    if label.startswith("exec[c"):
-        try:
-            return int(label[6:label.index("]")])
-        except ValueError:
-            return GLOBAL
-    if label.startswith("alarm:"):
-        try:
-            return int(label.split(":")[1]) // ID_SPACE
-        except (IndexError, ValueError):
-            return GLOBAL
-    return GLOBAL
+    cluster = getattr(getattr(action, "__self__", None), "cluster_id", None)
+    return cluster if isinstance(cluster, int) else GLOBAL
 
 
 class _Worker(threading.Thread):
@@ -121,7 +108,7 @@ class _Worker(threading.Thread):
                     if event.cancelled:
                         continue
                     executed += 1
-                    event.action()
+                    event.action(*event.args)
                     if watch_heap.same_time_dirty:
                         tail = group[position + 1:]
                         break
@@ -332,7 +319,7 @@ class ParallelMachineLoop:
                 if event.cancelled:
                     continue
                 executed += 1
-                event.action()
+                event.action(*event.args)
                 if heap.same_time_dirty:
                     return executed, group[position + 1:], None
             return executed, None, None
@@ -352,7 +339,7 @@ def _split_groups(batch: List[Event]) -> List[Tuple[List[Event], int]]:
     current: List[Event] = []
     current_affinity: Optional[int] = None
     for event in batch:
-        affinity = _affinity(event.label)
+        affinity = _affinity(event.action)
         if current_affinity is None or affinity == current_affinity:
             current.append(event)
             current_affinity = affinity

@@ -50,7 +50,10 @@ from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
 from ..scenario.registry import EntryMetadata, ParamSpec, Registry
 from .events import Event, EventHeap, SchedulingError
 
-#: Queue entries mirror the heap's: comparison key inline, event last.
+#: Queue entries: comparison key inline, event last.  These backends
+#: always allocate the :class:`Event` (posted work reaches them through
+#: ``push(..., args=...)``); only the default heap stores handle-free
+#: entries.
 _Entry = Tuple[int, int, int, Event]
 
 
@@ -61,7 +64,8 @@ class EventQueue(Protocol):
     behaviour exactly: total order ``(time, priority, seq)``, lazy
     cancellation with live-count accounting on every scan, inclusive
     ``until`` bounds, and the same-tick watch flag the batched loop's
-    fallback path relies on.
+    fallback path relies on.  Popped events are dispatched as
+    ``event.action(*event.args)``.
     """
 
     same_time_watch: int
@@ -69,8 +73,9 @@ class EventQueue(Protocol):
 
     def __len__(self) -> int: ...
 
-    def push(self, time: int, action: Callable[[], None],
-             priority: int = 0, label: str = "") -> Event: ...
+    def push(self, time: int, action: Callable[..., None],
+             priority: int = 0, label: str = "",
+             args: tuple = ()) -> Event: ...
 
     def pop(self) -> Optional[Event]: ...
 
@@ -114,8 +119,8 @@ class _QueueBase:
     def __len__(self) -> int:
         return self._live
 
-    def push(self, time: int, action: Callable[[], None],
-             priority: int = 0, label: str = "") -> Event:
+    def push(self, time: int, action: Callable[..., None],
+             priority: int = 0, label: str = "", args: tuple = ()) -> Event:
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
         if time == self.same_time_watch:
@@ -123,7 +128,7 @@ class _QueueBase:
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        event = Event(time, priority, seq, action, label)
+        event = Event(time, priority, seq, action, label, False, args)
         self._insert((time, priority, seq, event))
         return event
 

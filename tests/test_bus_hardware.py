@@ -273,3 +273,80 @@ def test_executive_halt_drops_work():
     executive.submit(10, lambda: order.append("b"), "x")
     sim.run()
     assert order == []
+
+
+# -- executive work that acts on its own executive ---------------------------
+#
+# Starting the next item is folded into submit/_on_complete; these pin the
+# three re-entrant cases the fold has to keep: order of execution, busy
+# ticks per label, and silence after halt.
+
+
+def test_executive_action_submitting_to_its_own_executive():
+    sim = Simulator()
+    metrics = MetricSet()
+    executive = ExecutiveProcessor(0, sim, metrics)
+    order = []
+
+    def first():
+        order.append(("first", sim.now))
+        # Submitted while the executive is mid-item: queues behind "second".
+        executive.submit(7, order.append, "nested", (("nested", None),))
+
+    executive.submit(10, first, "outer")
+    executive.submit(5, lambda: order.append(("second", sim.now)), "outer")
+    sim.run()
+    assert order == [("first", 10), ("second", 15), ("nested", None)]
+    assert sim.now == 22
+    assert metrics.busy("executive[c0]", "outer") == 15
+    assert metrics.busy("executive[c0]", "nested") == 7
+    assert executive.queue_depth == 0
+    # Idle again: a later submit starts at once rather than queueing.
+    executive.submit(3, lambda: order.append(("late", sim.now)), "outer")
+    sim.run()
+    assert order[-1] == ("late", 25)
+    assert sim.pending() == 0
+
+
+def test_executive_action_crashing_its_own_cluster():
+    sim, bus, clusters, kernels, metrics = build()
+    cluster = clusters[1]
+    executive = cluster.executive
+    ran = []
+
+    def crash_self():
+        ran.append(("crash", sim.now))
+        cluster.crash()
+        # Hardware that is down accepts no work, not even from itself.
+        executive.submit(1, ran.append, "after", (("after", None),))
+
+    executive.submit(4, ran.append, "before", (("before", None),))
+    executive.submit(6, crash_self, "crash")
+    executive.submit(8, ran.append, "queued", (("queued", None),))
+    sim.run()
+    assert ran == [("before", None), ("crash", 10)]
+    assert sim.now == 10 and sim.pending() == 0
+    # "queued" was never started, so it was never charged.
+    assert metrics.busy_breakdown("executive[c1]") == {"before": 4, "crash": 6}
+    assert executive.queue_depth == 0
+
+
+def test_stale_completion_on_a_revived_cluster_is_a_noop():
+    sim, bus, clusters, kernels, metrics = build()
+    cluster = clusters[2]
+    ran = []
+    old = cluster.executive
+    old.submit(20, ran.append, "old", ("old-item",))   # completes at t=20
+    sim.run(until=5)
+    cluster.crash()
+    cluster.revive()
+    assert cluster.executive is not old
+    assert sim.pending() == 1                           # the stale completion
+    cluster.executive.submit(4, ran.append, "new", ("new-item",))
+    cluster.executive.submit(30, ran.append, "new", ("new-late",))
+    sim.run()
+    # The old executive's completion fires at t=20, between the two new
+    # items, and runs nothing.
+    assert ran == ["new-item", "new-late"]
+    assert sim.now == 39
+    assert metrics.busy_breakdown("executive[c2]") == {"old": 20, "new": 34}

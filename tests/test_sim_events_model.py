@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Tuple
 
 import pytest
 
+from repro.sim import Simulator
 from repro.sim.events import Event, EventHeap, SchedulingError
 from repro.sim.queues import CalendarQueue, LadderQueue, make_queue
 
@@ -254,3 +255,212 @@ def test_cancelled_run_is_all_lazy_discard() -> None:
         assert len(queue) == 0
         assert queue.pop_next() is None
         assert queue.pop() is None
+
+
+# -- Simulator-level model: post / call_at / call_after / cancel / run -------
+#
+# The queue-level model above holds the backends to one pop order.  This
+# one holds the *scheduling API* to it: ``post`` entries carry no handle,
+# ``call_at`` / ``call_after`` entries do, and a run must dispatch both in
+# one ``(time, priority, seq)`` order with the same lazy-cancellation
+# accounting whichever backend (and therefore whichever loop:
+# ``_run_heap_fast`` or ``_run_generic``) executes it.
+
+
+class _ModelHandle:
+    def __init__(self, time: int, priority: int, seq: int, fn, args) -> None:
+        self.key = (time, priority, seq)
+        self.fn = fn
+        self.args = args
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class ModelSimulator:
+    """The scheduling API over a sorted list: every entry is the same
+    kind of object, ``post`` merely declines to hand it out."""
+
+    def __init__(self) -> None:
+        self.now = 0
+        self.events_executed = 0
+        self._entries: List[_ModelHandle] = []
+        self._seq = 0
+
+    def pending(self) -> int:
+        return len(self._entries)
+
+    def _push(self, time: int, priority: int, fn, args) -> _ModelHandle:
+        entry = _ModelHandle(time, priority, self._seq, fn, args)
+        self._seq += 1
+        self._entries.append(entry)
+        self._entries.sort(key=lambda e: e.key)
+        return entry
+
+    def call_at(self, time: int, action, priority: int = 0) -> _ModelHandle:
+        if time < self.now:
+            raise SchedulingError("past")
+        return self._push(time, priority, action, ())
+
+    def call_after(self, delay: int, action,
+                   priority: int = 0) -> _ModelHandle:
+        if delay < 0:
+            raise SchedulingError("negative")
+        return self._push(self.now + delay, priority, action, ())
+
+    def post(self, delay: int, fn, args: tuple = ()) -> None:
+        if delay < 0:
+            raise SchedulingError("negative")
+        self._push(self.now + delay, 0, fn, args)
+
+    def run(self, until: Optional[int] = None,
+            max_events: Optional[int] = None) -> int:
+        entries = self._entries
+        executed = 0
+        while max_events is None or executed < max_events:
+            while entries and entries[0].cancelled:
+                entries.pop(0)      # lazy discard, even beyond ``until``
+            if not entries:
+                break
+            if until is not None and entries[0].key[0] > until:
+                break
+            entry = entries.pop(0)
+            self.now = entry.key[0]
+            executed += 1
+            entry.fn(*entry.args)
+        self.events_executed += executed
+        if until is not None and self.now < until:
+            self.now = until
+        return self.now
+
+
+SIM_BACKENDS = ("heap", "calendar", "ladder")
+
+
+def _drive_simulator(sim, seed: int) -> Tuple[list, list]:
+    """Run one seeded script against ``sim`` (real or model).  Returns the
+    dispatch log and a checkpoint after every top-level operation."""
+    rng = random.Random(seed)
+    log: List[Tuple[int, int]] = []
+    checkpoints: List[Tuple[int, int, int, int]] = []
+    handles: dict = {}          # tag -> cancellable handle, still of interest
+    tags = iter(range(10**9))
+
+    def schedule(inner: random.Random) -> None:
+        tag = next(tags)
+        kind = inner.choice(("post", "post", "call_after", "call_at"))
+        # Delay 0 from inside an action is the same-tick case.
+        delay = inner.choice((0, 0, 1, 1, 3, 10, 40))
+        priority = inner.choice((0, 0, 0, 1, -2))
+        if kind == "post":
+            sim.post(delay, fire, (tag,))
+        elif kind == "call_after":
+            handles[tag] = sim.call_after(delay, lambda: fire(tag),
+                                          priority=priority)
+        else:
+            handles[tag] = sim.call_at(sim.now + delay, lambda: fire(tag),
+                                       priority=priority)
+
+    def cancel_one(inner: random.Random) -> None:
+        if handles:
+            handles.pop(inner.choice(sorted(handles))).cancel()
+
+    def fire(tag: int) -> None:
+        log.append((sim.now, tag))
+        handles.pop(tag, None)
+        inner = random.Random(seed * 1_000_003 + tag)
+        if tag < 900:           # bounds the cascade
+            for _ in range(inner.choice((0, 0, 1, 1, 2))):
+                schedule(inner)
+        if inner.random() < 0.25:
+            cancel_one(inner)
+
+    for _ in range(160):
+        op = rng.random()
+        if op < 0.45:
+            schedule(rng)
+        elif op < 0.60:
+            cancel_one(rng)
+        else:
+            until = None if rng.random() < 0.3 else sim.now + rng.randrange(30)
+            limit = None if rng.random() < 0.4 else rng.randrange(1, 6)
+            sim.run(until=until, max_events=limit)
+        checkpoints.append((len(log), sim.pending(), sim.events_executed,
+                            sim.now))
+    sim.run()
+    checkpoints.append((len(log), sim.pending(), sim.events_executed,
+                        sim.now))
+    return log, checkpoints
+
+
+@pytest.mark.parametrize("backend", SIM_BACKENDS)
+@pytest.mark.parametrize("seed", range(12))
+def test_simulator_scheduling_matches_reference_model(backend: str,
+                                                      seed: int) -> None:
+    expected_log, expected_checkpoints = _drive_simulator(ModelSimulator(),
+                                                          seed)
+    sim = Simulator(queue=make_queue(backend))
+    log, checkpoints = _drive_simulator(sim, seed)
+    assert log == expected_log
+    assert checkpoints == expected_checkpoints
+    assert len(log) > 50 and sim.pending() == 0
+
+
+@pytest.mark.parametrize("backend", SIM_BACKENDS)
+def test_post_rejects_negative_delay(backend: str) -> None:
+    sim = Simulator(queue=make_queue(backend))
+    with pytest.raises(SchedulingError):
+        sim.post(-1, lambda: None)
+    assert sim.pending() == 0
+
+
+@pytest.mark.parametrize("backend", SIM_BACKENDS)
+def test_cancelled_neighbours_of_posted_entries_count_exactly(
+        backend: str) -> None:
+    """A posted entry has no ``cancelled`` flag of its own; the scans that
+    discard its cancelled neighbours must neither skip it nor miscount."""
+    sim = Simulator(queue=make_queue(backend))
+    order: List[str] = []
+    early = sim.call_after(3, lambda: order.append("early"))
+    sim.post(5, order.append, ("a",))
+    neighbour = sim.call_after(5, lambda: order.append("neighbour"))
+    sim.post(5, order.append, ("b",))
+    early.cancel()
+    neighbour.cancel()
+    assert sim.pending() == 4           # lazily cancelled: still counted
+    sim.run(until=2)
+    assert sim.pending() == 3           # the cancelled head is discarded
+    assert order == []
+    sim.run(until=5)
+    assert order == ["a", "b"]
+    assert sim.pending() == 0
+    assert sim.events_executed == 2
+
+
+def test_heap_pop_api_materialises_posted_entries() -> None:
+    """``pop`` / ``pop_next`` / ``pop_batch`` hand out :class:`Event`
+    objects for posted entries too, and ``reinsert`` keeps their key."""
+    heap = EventHeap()
+    seen: List[int] = []
+    heap.post(4, seen.append, (1,))
+    handle = heap.push(4, lambda: seen.append(2))
+    heap.post(4, seen.append, (3,))
+    heap.post(9, seen.append, (4,))
+    batch = heap.pop_batch()
+    assert [(e.time, e.priority, e.seq) for e in batch] \
+        == [(4, 0, 0), (4, 0, 1), (4, 0, 2)]
+    assert batch[1] is handle
+    assert len(heap) == 1
+    for event in reversed(batch):
+        heap.reinsert(event)
+    assert len(heap) == 4
+    first = heap.pop_next(until=4)
+    assert (first.time, first.priority, first.seq) == (4, 0, 0)
+    first.action(*first.args)
+    while True:
+        event = heap.pop()
+        if event is None:
+            break
+        event.action(*event.args)
+    assert seen == [1, 2, 3, 4]
