@@ -115,6 +115,7 @@ def run_regime(regime: str, make_programs: Callable[[], List[Program]],
             raise ValueError(f"unknown regime {regime!r}")
     completion = machine.run_until_idle(max_events=max_events)
     measured = _measure(machine)
+    machine.close()
     return RegimeResult(
         regime=regime, completion_time=completion,
         work_busy=measured["work"], executive_busy=measured["executive"],

@@ -172,7 +172,7 @@ def run_design_scenario(design_name: str, kind: str, seed: int = 0,
     recovery = metrics.series("recovery.crash_handle_latency")
     hist = metrics.histogram("latency.request")
     replies = sum(1 for pid in client_pids if pid in machine.exits)
-    return DesignCell(
+    cell = DesignCell(
         design=design_name, kind=kind, seed=seed,
         completed=replies == len(client_pids),
         end_time=machine.sim.now, replies=replies,
@@ -187,6 +187,8 @@ def run_design_scenario(design_name: str, kind: str, seed: int = 0,
         syncs=metrics.counter("sync.performed"),
         checkpoints=metrics.counter("checkpoint.performed"),
         bus_bytes=metrics.counter("bus.bytes"))
+    machine.close()
+    return cell
 
 
 @dataclass

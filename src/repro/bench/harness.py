@@ -13,9 +13,11 @@ Methodology
   timed, so machine construction never pollutes the throughput number.
   For the parallel fault-campaign workload the *pool* is construction
   too: workers are spawned and warmed before the first timed round.
-* Each round is preceded by a ``gc.collect()`` and the *minimum* over
-  rounds is reported: the minimum converges on the true cost, while
-  means smear scheduler and allocator noise in.
+* Each round's machine is closed (:meth:`Machine.close`) before the
+  next is built, so no finished machine is left for the cyclic
+  collector to find inside a timed run, and the *minimum* over rounds
+  is reported: the minimum converges on the true cost, while means
+  smear scheduler and allocator noise in.
 * Runs are deterministic, so every round executes the identical event
   sequence — rounds differ only in measurement noise.
 * Two timer modes.  Single-process workloads use ``time.process_time()``
@@ -33,7 +35,6 @@ when events/sec regresses beyond a threshold; see ``docs/performance.md``.
 
 from __future__ import annotations
 
-import gc
 import json
 import platform
 import time
@@ -212,8 +213,9 @@ def _timed_rounds(build: Callable[..., Tuple[Machine,
     best: Optional[float] = None
     machine: Optional[Machine] = None
     for _ in range(rounds):
+        if machine is not None:
+            machine.close()
         machine, run = build(quick, engine)
-        gc.collect()
         start = clock()
         run()
         elapsed = clock() - start
@@ -302,7 +304,6 @@ def _measure_campaign(quick: bool, rounds: int, timer: str = "auto",
         best: Optional[float] = None
         report = None
         for _ in range(rounds):
-            gc.collect()
             start = clock()
             if pool is not None:
                 report = pool.run(seeds)

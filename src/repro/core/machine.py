@@ -15,6 +15,11 @@ A Machine owns the simulator, hardware, one kernel per cluster, the four
 well-known servers (file, page, tty, process), the failure detector and
 the metrics.  Everything is deterministic given (config, the spawn/crash
 calls you make, and their order).
+
+A machine's components refer to one another in cycles, so a finished one
+is reclaimed only by the cyclic collector unless :meth:`Machine.close`
+takes it apart first.  A driver that builds more than one machine calls
+``close()`` on each once it has read its results.
 """
 
 from __future__ import annotations
@@ -47,7 +52,8 @@ from ..types import ClusterId, Pid, Ticks
 
 
 class MachineError(Exception):
-    """Raised on invalid facade usage (bad cluster id, double crash)."""
+    """Raised on invalid facade usage (bad cluster id, double crash, any
+    use after :meth:`Machine.close`)."""
 
 
 class Machine:
@@ -105,6 +111,10 @@ class Machine:
         self._crashed: set = set()
         self.tty_device = TtyDevice()
         self._tty_input_seq = 0
+        #: Fault injectors armed on this machine (they add themselves);
+        #: :meth:`close` detaches them from the trace.
+        self.injectors: list = []
+        self._closed = False
         # Same post-construction idiom as the bus fault layer: with every
         # service disabled this is None, no hook fires, and the machine's
         # traces stay byte-identical to a build without the layer.
@@ -179,6 +189,45 @@ class Machine:
         self.tty_harness.device_channels.append(self._tty_dev_channel)
 
     # ------------------------------------------------------------------
+    # disposal
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Take the finished machine apart so refcounting frees it.
+
+        Drops the pending events, detaches the bus, clusters, kernels,
+        schedulers, resilience layer and fault injectors from one
+        another, and lets go of all of them.  Call it once the results
+        have been read: ``config``, ``metrics``, ``trace``, ``exits``,
+        ``exit_times``, ``tty_output()`` and ``sim.now`` stay readable,
+        every other use raises :class:`MachineError`.  Idempotent.  Not
+        a resource release: a machine that is never closed is merely
+        left to the collector.
+        """
+        if self._closed:
+            return
+        self._closed = True
+        for injector in self.injectors:
+            injector.detach()
+        if self._parallel_loop is not None:
+            self._parallel_loop.close()
+        self.sim.close()
+        self.bus.close()
+        for cluster in self.clusters:
+            cluster.close()
+        for kernel in self.kernels:
+            kernel.close()
+        self.injectors = []
+        self.clusters = []
+        self.kernels = []
+        self.bus = self.resilience = self._parallel_loop = None
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise MachineError("machine is closed: close() released its "
+                               "simulator, clusters and kernels")
+
+    # ------------------------------------------------------------------
     # process management
     # ------------------------------------------------------------------
 
@@ -195,6 +244,7 @@ class Machine:
         section 2 explicit-checkpointing baseline: a whole-data-space copy
         every N operations instead of incremental syncs.
         """
+        self._check_open()
         if backup_mode is BackupMode.FULLBACK and self.config.n_clusters < 3:
             raise MachineError("fullbacks need at least three clusters "
                                "(section 7.3)")
@@ -218,6 +268,7 @@ class Machine:
 
     def find_pcb(self, pid: Pid) -> Optional[ProcessControlBlock]:
         """Locate a live process anywhere in the machine."""
+        self._check_open()
         for kernel in self.kernels:
             if kernel.alive and pid in kernel.pcbs:
                 return kernel.pcbs[pid]
@@ -244,6 +295,7 @@ class Machine:
     def run(self, until: Optional[Ticks] = None,
             max_events: Optional[int] = None) -> Ticks:
         """Advance the simulation (see :meth:`Simulator.run`)."""
+        self._check_open()
         if self.config.run_jobs != 1:
             return self.parallel_loop().run(until=until,
                                             max_events=max_events)
@@ -251,6 +303,7 @@ class Machine:
 
     def run_until_idle(self, max_events: int = 10_000_000) -> Ticks:
         """Run until nothing is scheduled (blocked processes may remain)."""
+        self._check_open()
         if self.config.run_jobs != 1:
             return self.parallel_loop().run_until_idle(
                 max_events=max_events)
@@ -263,6 +316,7 @@ class Machine:
     def crash_cluster(self, cluster_id: ClusterId,
                       at: Optional[Ticks] = None) -> None:
         """Hard-crash one cluster, now or at virtual time ``at``."""
+        self._check_open()
         if not 0 <= cluster_id < self.config.n_clusters:
             raise MachineError(f"no cluster {cluster_id}")
 
@@ -291,6 +345,7 @@ class Machine:
     def fail_process(self, pid: Pid, at: Optional[Ticks] = None) -> None:
         """Fail one process without crashing its cluster (the section 10
         individual-failure extension): its backup alone is brought up."""
+        self._check_open()
         from ..recovery.procfail import ProcFailure, fail_process
 
         def do_fail() -> None:
@@ -312,12 +367,17 @@ class Machine:
         (section 7.3: "new backups created only when the cluster in which
         the original primary ran is returned to service").
         """
+        self._check_open()
         if cluster_id not in self._crashed:
             raise MachineError(f"cluster {cluster_id} is not down")
         self._crashed.discard(cluster_id)
         self._restore_epoch += 1
         cluster = self.clusters[cluster_id]
         cluster.revive()
+        # Crash handling elsewhere reads only messages and the directory,
+        # never the dead kernel: release it (and its scheduler) now, or
+        # the pair outlives the machine as a cycle.
+        self.kernels[cluster_id].close()
         fresh = ClusterKernel(cluster, self.config, self.directory,
                               self.sim, self.metrics, self.trace)
         # Restarted kernels allocate from a fresh epoch so ids never
@@ -368,6 +428,8 @@ class Machine:
 
     def tty_type(self, text: str, at: Optional[Ticks] = None) -> None:
         """Inject one line of terminal input (device-level event)."""
+        self._check_open()
+
         def deliver() -> None:
             harness = self.tty_harness
             primary = harness.primary_cluster
@@ -407,9 +469,11 @@ class Machine:
     # ------------------------------------------------------------------
 
     def live_process_count(self) -> int:
+        self._check_open()
         return sum(len(k.pcbs) for k in self.kernels if k.alive)
 
     def backup_record_count(self) -> int:
+        self._check_open()
         return sum(len(k.backups) for k in self.kernels if k.alive)
 
     def describe(self) -> Dict[str, Any]:

@@ -210,6 +210,7 @@ def reference_observable(scenario: "Scenario", max_events: int,
     from ..workloads.generator import observable
     baseline = scenario.run(max_events=max_events)
     result = observable(baseline)
+    baseline.close()
     if cache is not None and key is not None:
         cache.put(key, result)
     return result

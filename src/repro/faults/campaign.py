@@ -40,7 +40,7 @@ from ..metrics.histogram import LogHistogram
 from ..sim.events import SimulationError
 from ..sim.rng import DeterministicRNG
 from ..types import Pid
-from ..workloads.generator import generate_scenario, observable
+from ..workloads.generator import generate_scenario
 from .injector import FaultInjector
 from .invariants import check_scenario
 from .kinds import (BOOT_GRACE, FAULT_REGISTRY, bus_fault_kind_names,
@@ -261,8 +261,8 @@ def trace_digest(machine: Machine) -> str:
     """SHA-256 over every formatted trace record: the byte-for-byte
     reproducibility witness for a scenario."""
     hasher = hashlib.sha256()
-    for record in machine.trace:
-        hasher.update(record.format().encode())
+    for line in machine.trace.lines():
+        hasher.update(line.encode())
         hasher.update(b"\n")
     return hasher.hexdigest()
 
@@ -326,11 +326,8 @@ def run_seed(seed: int, n_clusters: int = 3,
     plan = build_plan(fault_rng, kind, n_clusters)
     scenario = generate_scenario(workload_rng.seed, n_clusters=n_clusters)
 
-    if cache is not None:
-        from ..exec.refcache import reference_observable
-        baseline = reference_observable(scenario, max_events, cache)
-    else:
-        baseline = observable(scenario.run(max_events=max_events))
+    from ..exec.refcache import reference_observable
+    baseline = reference_observable(scenario, max_events, cache)
 
     faulted = Machine(plan_machine_config(plan, n_clusters, seed,
                                           loss_rate=loss_rate,
@@ -370,6 +367,7 @@ def run_seed(seed: int, n_clusters: int = 3,
         latency=latency_histograms(faulted))
     if violations:
         result.trace_tail = faulted.trace.tail(tail_lines)
+    faulted.close()
     return result
 
 

@@ -117,6 +117,7 @@ class FaultInjector:
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
+        machine.injectors.append(self)
         self._armed: List[_Armed] = []
         #: Trace categories we already subscribed for.  The injector
         #: listens per category (the TraceLog's indexed dispatch), so a

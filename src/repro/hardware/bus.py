@@ -120,6 +120,11 @@ class InterclusterBus:
         keeps the unobserved fast path."""
         self._observer = observer
 
+    def close(self) -> None:
+        """Forget the attached clusters, each of which holds this bus
+        (part of :meth:`repro.core.machine.Machine.close`)."""
+        self._clusters.clear()
+
     @property
     def fault_layer(self) -> Optional[DualBusFaultLayer]:
         return self._faults

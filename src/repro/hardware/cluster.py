@@ -161,6 +161,14 @@ class Cluster:
             submit(cost, handle_delivery, label,
                    (message, delivery, seqno))
 
+    # -- disposal -----------------------------------------------------------
+
+    def close(self) -> None:
+        """Detach from the kernel and release the executive (part of
+        :meth:`repro.core.machine.Machine.close`)."""
+        self.executive.close()
+        self.kernel = None
+
     # -- failure ------------------------------------------------------------
 
     def revive(self) -> None:
@@ -171,6 +179,10 @@ class Cluster:
         self.alive = True
         self.outgoing_enabled = True
         self._outgoing.clear()
+        # The crashed incarnation's executive holds itself through its
+        # completion alias: release it, or only the cyclic collector
+        # ever frees it.
+        self.executive.close()
         self.executive = ExecutiveProcessor(self.cluster_id, self.sim,
                                             self.metrics)
         for proc in self.work_processors:

@@ -105,6 +105,16 @@ class ExecutiveProcessor:
         self._halted = True
         self._queue.clear()
 
+    def close(self) -> None:
+        """Halt for good and let go of the in-flight work item and the
+        bound-method alias through which this object holds itself (a
+        completion already on the event heap still arrives, sees the
+        halt and returns)."""
+        self.halt()
+        self._current = None
+        self._current_args = ()
+        self._complete_cb = None
+
     def _on_complete(self) -> None:
         # A crash may have landed between scheduling and completion.
         if self._halted:

@@ -354,6 +354,17 @@ class ClusterKernel:
         """The cluster crashed: freeze everything."""
         self.alive = False
 
+    def close(self) -> None:
+        """Halt for good and part with the scheduler, so that neither is
+        held in a reference cycle and both are freed by refcount once
+        the machine (or, for a crashed incarnation, the last stale event
+        naming it) lets go.  Everything posted against a kernel checks
+        ``alive`` first, which is all a closed kernel still answers."""
+        self.alive = False
+        if self.scheduler is not None:
+            self.scheduler.close()
+            self.scheduler = None
+
     def fatal_hardware(self, reason: str) -> None:
         """Unrecoverable hardware under this kernel (both drives of a
         mirrored disk dead, say): record it and hand the cluster to the

@@ -115,6 +115,13 @@ class Scheduler:
             Yield: self._do_yield,
         }
 
+    def close(self) -> None:
+        """Let go of the bound-method aliases through which this object
+        holds itself.  The kernel has halted for good, so a continuation
+        still on the event heap arrives, sees that and returns."""
+        self._step_cb = self._continue_cb = None
+        self._finishers = {}
+
     # -- queue management ---------------------------------------------------
 
     def make_ready(self, pcb: ProcessControlBlock) -> None:

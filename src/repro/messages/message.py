@@ -22,6 +22,13 @@ from typing import Any, Dict, Optional, Tuple
 from ..types import ChannelId, ClusterId, Pid
 
 
+#: Intern table for :meth:`Message.target_clusters`: one tuple per distinct
+#: ordered target set (at most clusters**3 of them), so a retained
+#: ``bus.transmit``/``bus.deliver`` trace row points at a shared tuple
+#: instead of owning a fresh one.
+_TARGET_SETS: Dict[Tuple[ClusterId, ...], Tuple[ClusterId, ...]] = {}
+
+
 class MessageKind(enum.Enum):
     """Classification of message traffic.
 
@@ -125,12 +132,14 @@ class Message:
         """Distinct clusters this message must reach, in delivery order.
 
         The bus addresses the single transmission to exactly this set —
-        the "transmitted just once" property of section 8.1.
+        the "transmitted just once" property of section 8.1.  Equal
+        target sets share one tuple object.
         """
         seen: Dict[ClusterId, None] = {}
         for delivery in self.deliveries:
             seen.setdefault(delivery.cluster_id, None)
-        return tuple(seen.keys())
+        targets = tuple(seen)
+        return _TARGET_SETS.setdefault(targets, targets)
 
     def deliveries_for(self, cluster_id: ClusterId) -> Tuple[Delivery, ...]:
         """The delivery legs addressed to one cluster."""

@@ -123,22 +123,23 @@ class StateProgram(Program):
 
     def step(self, ctx: StepContext) -> Action:
         # Handler lookup is per step on the hottest path in the
-        # simulator, so bound methods are memoized per state name (the
-        # set of states is small and fixed per program class).
+        # simulator, so handlers are memoized per state name (the set of
+        # states is small and fixed per program class) — as the class's
+        # plain functions, not bound methods, which would make every
+        # program hold itself in a reference cycle.
         state = ctx.regs.get("pc", self.start_state)
         try:
             handler = self._handlers[state]
         except (AttributeError, KeyError):
-            handler = getattr(self, f"state_{state}", None)
+            handler = getattr(type(self), f"state_{state}", None)
             if handler is None:
                 raise ProgramError(
                     f"{self.name}: no handler for state "
                     f"{state!r}") from None
             if not hasattr(self, "_handlers"):
-                self._handlers: Dict[str, Callable[[StepContext],
-                                                   Action]] = {}
+                self._handlers: Dict[str, Callable[..., Action]] = {}
             self._handlers[state] = handler
-        return handler(ctx)
+        return handler(self, ctx)
 
 
 class IdleProgram(Program):

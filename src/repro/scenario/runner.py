@@ -147,6 +147,7 @@ def _run_explicit(compiled: CompiledScenario) -> ScenarioOutcome:
         except SimulationError as error:
             violations.append(f"reference run: {error}")
         expected = observable(reference)
+        reference.close()
 
     faulted = Machine(compiled.machine_config())
     pids = build(faulted, params)
@@ -168,7 +169,7 @@ def _run_explicit(compiled: CompiledScenario) -> ScenarioOutcome:
         violations += _check_counters(expect["counters"], faulted,
                                       counters)
 
-    return ScenarioOutcome(
+    outcome = ScenarioOutcome(
         name=compiled.name, source=compiled.source, mode="explicit",
         passed=not violations, violations=violations,
         description=compiled.description,
@@ -177,6 +178,8 @@ def _run_explicit(compiled: CompiledScenario) -> ScenarioOutcome:
         survivable=compiled.survivable,
         digest=trace_digest(faulted), end_time=faulted.sim.now,
         events=faulted.sim.events_executed, counters=counters)
+    faulted.close()
+    return outcome
 
 
 def _check_counters(bounds: Dict[str, Dict[str, Optional[int]]],

@@ -131,7 +131,6 @@ class PeripheralServerHarness:
         self.device_channels: list = []
         self.primary_cluster: ClusterId = ports[0]
         self.backup_cluster: Optional[ClusterId] = ports[1]
-        self._kernels: Dict[ClusterId, "ClusterKernel"] = {}
 
     # -- installation -----------------------------------------------------
 
@@ -140,8 +139,6 @@ class PeripheralServerHarness:
         """Create the primary (in ``kernel_a``) and active backup (in
         ``kernel_b``), plus the server-sync channel between them."""
         self.pid = pid
-        self._kernels = {kernel_a.cluster_id: kernel_a,
-                         kernel_b.cluster_id: kernel_b}
         self.sync_channel = kernel_a.alloc_channel_id()
         register_server_actions(kernel_a)
         register_server_actions(kernel_b)
@@ -210,7 +207,6 @@ class PeripheralServerHarness:
                 f"device's free port")
         self.backup_cluster = restored
         restored_kernel.server_registry[self.pid] = self
-        self._kernels[restored] = restored_kernel
 
         backup = restored_kernel.create_process(
             self.program_factory(), BackupMode.HALFBACK,

@@ -172,6 +172,11 @@ class EventHeap:
     def __len__(self) -> int:
         return self._live
 
+    def clear(self) -> None:
+        """Drop every pending entry, in place (``seq`` keeps counting)."""
+        self._heap.clear()
+        self._live = 0
+
     def push(self, time: int, action: Callable[..., None], priority: int = 0,
              label: str = "", args: tuple = ()) -> Event:
         """Schedule ``action(*args)`` at absolute virtual ``time`` and

@@ -1,8 +1,8 @@
 """Structured trace log for simulation runs.
 
 Every interesting transition (message transmitted, sync applied, cluster
-crashed, backup promoted, ...) is appended as a :class:`TraceRecord`.  The
-trace serves three purposes:
+crashed, backup promoted, ...) is appended to the :class:`TraceLog` and
+read back as a :class:`TraceRecord`.  The trace serves three purposes:
 
 * debugging — a readable timeline of a run;
 * tests — assertions about *how* an outcome was reached, not just the
@@ -19,26 +19,43 @@ building any record.  Listeners subscribe either to every record or to an
 explicit set of categories; category subscriptions are dispatched through
 a per-category index, so a fault-injection trigger armed on
 ``sync.primary`` never pays for the flood of ``bus.*`` records.
+
+What a traced run *retains* is one flat tuple per record, not a record
+object: ``(time, category, keys, *values)``, where ``keys`` is the emit
+site's keyword-name tuple, shared between every record the site emits.
+A :class:`TraceRecord` is a view built from a row when someone reads the
+log, or at emit time when a listener is subscribed to the category.
 """
 
 from __future__ import annotations
 
 from sys import intern
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 Listener = Callable[["TraceRecord"], None]
+
+#: One stored record: ``(time, category, keys, *values)``.
+Row = Tuple[Any, ...]
+
+
+def _format_line(time: int, category: str, keys: Iterable[str],
+                 values: Iterable[Any]) -> str:
+    """The one-line rendering shared by records and stored rows."""
+    parts = " ".join(f"{key}={value!r}" for key, value in zip(keys, values))
+    return f"[{time:>12}] {category:<24} {parts}"
 
 
 class TraceRecord:
     """One timeline entry: what happened, when, and structured details.
 
-    Slotted and category-interned: a fully traced run allocates one of
-    these per emitted record, so the per-instance ``__dict__`` is
-    dropped (``__slots__``) and the category string is shared process-
-    wide (``sys.intern``) — every ``bus.transmit`` record points at the
-    same string object, and category comparisons in :meth:`TraceLog.
-    select`/:meth:`TraceLog.count` short-circuit on identity.  Records
-    compare by value and are mutated nowhere (treat them as frozen).
+    This is what readers and listeners see, not what :class:`TraceLog`
+    stores: the log keeps flat rows and builds a record per row on
+    iteration/``select`` (and per emit for a subscribed listener), so
+    two reads of the same entry give equal but distinct objects, and
+    changing a record changes nothing in the log.  Slotted and category-
+    interned (``sys.intern``); records compare by value and are mutated
+    nowhere (treat them as frozen).
     """
 
     __slots__ = ("time", "category", "detail")
@@ -62,15 +79,25 @@ class TraceRecord:
 
     def format(self) -> str:
         """Render the record as a single human-readable line."""
-        parts = " ".join(f"{key}={value!r}" for key, value in self.detail.items())
-        return f"[{self.time:>12}] {self.category:<24} {parts}"
+        detail = self.detail
+        return _format_line(self.time, self.category, detail,
+                            detail.values())
+
+
+def _record_of(row: Row) -> TraceRecord:
+    return TraceRecord(row[0], row[1], dict(zip(row[2], row[3:])))
 
 
 class TraceLog:
-    """An append-only, filterable log of :class:`TraceRecord` entries.
+    """An append-only, filterable log read as :class:`TraceRecord` entries.
+
+    Storage is one flat tuple per record (see the module docstring);
+    ``__iter__``, :meth:`select` and listeners hand out records built
+    from the rows, :meth:`lines`/:meth:`dump`/:meth:`tail` format the
+    rows directly.
 
     Tracing can be disabled wholesale (``enabled=False``) for benchmark runs
-    where the record objects themselves would dominate cost; counters in
+    where the retained rows themselves would dominate cost; counters in
     :mod:`repro.metrics` stay live regardless.
     """
 
@@ -78,7 +105,10 @@ class TraceLog:
                  categories: Optional[List[str]] = None) -> None:
         self._enabled = enabled
         self._only = set(categories) if categories is not None else None
-        self._records: List[TraceRecord] = []
+        self._rows: List[Row] = []
+        #: Key tuple -> the one shared instance every row of that shape
+        #: points at (one per emit-site signature, a few dozen per run).
+        self._schemas: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
         self._listeners: List[Listener] = []
         self._by_category: Dict[str, List[Listener]] = {}
         #: True when :meth:`emit` has any work to do (recording on, or at
@@ -107,10 +137,10 @@ class TraceLog:
                            or self._by_category)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self._records)
+        return map(_record_of, self._rows)
 
     def subscribe(self, listener: Listener,
                   categories: Optional[Sequence[str]] = None) -> None:
@@ -134,7 +164,7 @@ class TraceLog:
         the current record finishes dispatching.
         """
         if self._dispatching:
-            self._deferred.append((self.subscribe, listener, categories))
+            self._deferred.append((self.subscribe, (listener, categories)))
             return
         if categories is None:
             self._listeners.append(listener)
@@ -149,7 +179,7 @@ class TraceLog:
         inside a listener callback takes effect after the current record
         finishes dispatching (the in-flight dispatch still completes)."""
         if self._dispatching:
-            self._deferred.append((self.unsubscribe, listener, None))
+            self._deferred.append((self.unsubscribe, (listener,)))
             return
         if listener in self._listeners:
             self._listeners.remove(listener)
@@ -168,13 +198,19 @@ class TraceLog:
         """
         if not self.active:
             return
-        record = TraceRecord(time, category, detail)
         if self._enabled and (self._only is None or category in self._only):
-            self._records.append(record)
+            keys = tuple(detail)
+            schemas = self._schemas
+            try:
+                keys = schemas[keys]
+            except KeyError:
+                schemas[keys] = keys
+            self._rows.append((time, category, keys, *detail.values()))
         listeners = self._listeners
         scoped = self._by_category.get(category)
         if not listeners and not scoped:
             return
+        record = TraceRecord(time, category, detail)
         self._dispatching += 1
         try:
             for listener in listeners:
@@ -186,20 +222,18 @@ class TraceLog:
             self._dispatching -= 1
             if self._deferred and not self._dispatching:
                 deferred, self._deferred = self._deferred, []
-                for method, listener, categories in deferred:
-                    if method is self.subscribe:
-                        method(listener, categories)
-                    else:
-                        method(listener)
+                for method, args in deferred:
+                    method(*args)
 
     def select(self, category: Optional[str] = None,
                where: Optional[Callable[[TraceRecord], bool]] = None
                ) -> List[TraceRecord]:
         """Return records matching ``category`` and/or predicate ``where``."""
         result = []
-        for record in self._records:
-            if category is not None and record.category != category:
+        for row in self._rows:
+            if category is not None and row[1] != category:
                 continue
+            record = _record_of(row)
             if where is not None and not where(record):
                 continue
             result.append(record)
@@ -207,21 +241,28 @@ class TraceLog:
 
     def count(self, category: str) -> int:
         """Number of records in ``category``."""
-        return sum(1 for record in self._records if record.category == category)
+        return sum(1 for row in self._rows if row[1] == category)
+
+    def lines(self, start: Optional[int] = None,
+              stop: Optional[int] = None) -> List[str]:
+        """Records ``[start:stop]`` (slice semantics; default all) as the
+        lines :meth:`TraceRecord.format` renders, formatted straight from
+        the stored rows without building a record each."""
+        return [_format_line(row[0], row[1], row[2], row[3:])
+                for row in self._rows[start:stop]]
 
     def dump(self, limit: Optional[int] = None) -> str:
         """Render the (optionally truncated) trace as text."""
-        records = self._records if limit is None else self._records[:limit]
-        lines = [record.format() for record in records]
-        if limit is not None and len(self._records) > limit:
-            lines.append(f"... {len(self._records) - limit} more records")
+        lines = self.lines(stop=limit)
+        if limit is not None and len(self._rows) > limit:
+            lines.append(f"... {len(self._rows) - limit} more records")
         return "\n".join(lines)
 
     def tail(self, count: int) -> List[str]:
         """The last ``count`` records as formatted lines (failure reports
         show the end of a diverged run's timeline)."""
-        return [record.format() for record in self._records[-count:]]
+        return self.lines(start=-count)
 
     def clear(self) -> None:
         """Drop all records (keeps enabled/filter settings)."""
-        self._records.clear()
+        self._rows.clear()
