@@ -82,58 +82,7 @@ def check_bench(data: Dict[str, Any], errors: List[str]
     if shootout is not None:
         extracted["recovery_shootout_p99"] = _check_shootout(
             shootout, errors)
-    _check_p3(data, errors, extracted)
     return extracted
-
-
-#: The intra-run parallel loop's acceptance floor (mirrors
-#: repro.sim.parallel.RATIO_FLOOR; duplicated so this checker stays a
-#: dependency-free script CI can run against a bare artifact).
-RATIO_FLOOR = 0.95
-
-
-def _check_p3(data: Dict[str, Any], errors: List[str],
-              extracted: Dict[str, Any]) -> None:
-    """P3 fields: the A/B comparison block and the per-workload engine
-    accounting (queue backend, run-jobs clamp, measured-ratio honesty
-    gate)."""
-    p3 = data.get("p3_comparison")
-    if p3 is not None:
-        for side in ("pre_pr", "current"):
-            if (p3.get(side) or {}).get("events_per_sec") is None:
-                errors.append(f"p3_comparison.{side}.events_per_sec: "
-                              f"missing or null")
-        if p3.get("ratio") is None:
-            errors.append("p3_comparison.ratio: missing or null")
-        extracted["p3_ratio"] = p3.get("ratio")
-    engine: Dict[str, Any] = {}
-    for name, workload in sorted((data.get("workloads") or {}).items()):
-        if not isinstance(workload, dict):
-            continue
-        if "queue" in workload or "run_jobs_requested" in workload:
-            engine[name] = {
-                "queue": workload.get("queue"),
-                "run_jobs_effective": workload.get("run_jobs_effective"),
-                "measured_ratio": workload.get("measured_ratio"),
-            }
-        requested = workload.get("run_jobs_requested")
-        if requested is None:
-            continue
-        effective = workload.get("run_jobs_effective")
-        ratio = workload.get("measured_ratio")
-        if effective is None:
-            errors.append(f"workloads.{name}.run_jobs_effective: "
-                          f"missing or null")
-            continue
-        if effective > 1 and ratio is None:
-            errors.append(f"workloads.{name}.measured_ratio: parallel "
-                          f"run without a recorded ratio")
-        if ratio is not None and ratio < RATIO_FLOOR and effective != 1:
-            errors.append(f"workloads.{name}: measured_ratio {ratio} "
-                          f"below the {RATIO_FLOOR} floor but the run "
-                          f"did not degrade to serial")
-    if engine:
-        extracted["engine"] = engine
 
 
 def _check_shootout(shootout: Dict[str, Any],

@@ -161,31 +161,12 @@ COMMENTARY = {
         " depositor re-sends deposits the lost primary already made and"
         " the audit finds money created from nothing.  The full protocol"
         " is exactly-once in both scenarios."),
-    "P1": (
-        "## P1 — simulator-core throughput (events/sec as a tracked"
-        " metric)",
-        "**Not a paper claim — an infrastructure result.**  Every"
-        " experiment above turns the same event loop; how fast it turns"
-        " over bounds the fault-campaign and sweep sizes that stay"
-        " practical.  `benchmarks/test_p1_core_throughput.py` runs the"
-        " event-dense OLTP bank workload on the current core and on the"
-        " vendored pre-fast-path core (`benchmarks/_legacy_machine.py`)"
-        " in one process — identical machine-build code, interleaved"
-        " min-of-N `process_time` rounds — and verifies byte-identical"
-        " traces and terminal output before comparing speed"
-        " (`repro bench` tracks the same workloads over time;"
-        " see `docs/performance.md`):",
-        "**Shape check:** the current core clears the required 1.3x on"
-        " identical virtual behaviour — the fast path changed *when the"
-        " wall clock advances*, never what the machine computes.  The"
-        " absolute events/sec for this host lands in `BENCH_core.json`"
-        " alongside the `repro bench` suite numbers."),
     "P2": (
         "## P2 — parallel, cache-aware campaign execution (wall-clock"
         " speedup, byte-identical reports)",
-        "**Not a paper claim — an infrastructure result.**  P1 made one"
-        " scenario fast; campaigns run hundreds, each twice (failure-free"
-        " reference + faulted run), and `run_campaign` used to execute"
+        "**Not a paper claim — an infrastructure result.**  One scenario"
+        " runs in milliseconds; campaigns run hundreds, each twice"
+        " (failure-free reference + faulted run), and `run_campaign` used to execute"
         " them strictly serially.  `repro.exec` shards seeds across a"
         " spawn-safe process pool (the simulator stays single-threaded"
         " *per scenario*) with a deterministic seed-order merge, and"
@@ -211,38 +192,6 @@ COMMENTARY = {
         " and determinism plus the cache's own speedup are still"
         " verified.  Numbers land in `BENCH_core.json` under"
         " `parallel_campaign`."),
-    "P3": (
-        "## P3 — raw-speed tier 2: batched dispatch, queue backends,"
-        " intra-run parallelism",
-        "**Not a paper claim — an infrastructure result.**  P1's"
-        " micro-optimizations bought one multiple; the next one required"
-        " structural change.  Three pieces land together: batched"
-        " same-timestamp dispatch (`EventHeap.pop_batch` drains runs of"
-        " tied events in one call, amortizing per-event loop overhead),"
-        " pluggable event-queue backends (binary heap, calendar queue,"
-        " ladder queue — identical pop order including tie-breaking is"
-        " the contract), and a conservative intra-run parallel loop"
-        " (`ParallelMachineLoop`, bus-latency lookahead windows with"
-        " ordered handoff, honest measured-ratio auto-degrade)."
-        "  `benchmarks/test_p3_queue_parallel.py` runs the *dense* OLTP"
-        " workload — the bank under per-transaction application compute"
-        " — on the current engine and on the vendored pre-PR engine"
-        " (`benchmarks/_p3_baseline.py`) in one process, interleaved"
-        " min-of-N `process_time` rounds, byte-identical behaviour"
-        " verified before comparing speed (see `docs/performance.md`"
-        " sections 1a and 2a):",
-        "**Shape check:** the current engine clears the required 1.3x"
-        " on identical virtual behaviour.  All three queue backends"
-        " produce byte-identical traces on healthy and fault paths (the"
-        " backends are a speed knob, never a semantics knob; at these"
-        " pending-set depths the heap wins).  The parallel loop, forced"
-        " past the one-core clamp onto real worker threads, is also"
-        " byte-identical to serial, and the measured-ratio gate degrades"
-        " it whenever parallel dispatch falls below 0.95x serial — on"
-        " CPython's GIL the expected outcome — so `--run-jobs` can"
-        " never make a run slower than not asking.  Numbers land in"
-        " `BENCH_core.json` under `p3_comparison` (per-backend"
-        " events/sec included)."),
     "F4": (
         "## F4 — latency under fault: request percentiles through"
         " crash recovery and bus degradation",
@@ -396,9 +345,7 @@ SUMMARY = """
 | F3 | dual bus masks transient bus faults | identical output at every loss rate |
 | F4 | FT cost hides off the critical path | crash leaves p50 untouched; p99 pays |
 | F5 | section 2 rivals priced quantitatively | auragen owns the tail; heartbeat 5.5× faster |
-| P1 | (infrastructure) simulator-core fast path | ≥1.3× events/sec, byte-identical traces |
 | P2 | (infrastructure) parallel campaign engine | ≥2× on ≥4 cores, byte-identical reports |
-| P3 | (infrastructure) raw-speed tier 2: batching, queue backends, intra-run parallelism | ≥1.3× dense OLTP; 3 backends + parallel loop byte-identical |
 """
 
 
@@ -438,7 +385,7 @@ def capture_tables() -> dict:
 def main() -> None:
     tables = capture_tables()
     order = [f"E{i}" for i in range(1, 14)] + ["F2", "F3", "F4", "F5",
-                                               "P1", "P2", "P3"]
+                                               "P2"]
     missing = [tag for tag in order if tag not in tables]
     if missing:
         raise SystemExit(f"missing experiment tables: {missing}")

@@ -131,7 +131,7 @@ def test_p2_parallel_campaign(benchmark, table_printer, tmp_path):
     assert warm.cache_misses == 0
     hit_rate = warm.cache_hits / (warm.cache_hits + warm.cache_misses)
 
-    # Noise guard, as in P1: deterministic runs mean extra rounds only
+    # Noise guard: deterministic runs mean extra rounds only
     # tighten minima.  Only worth paying for where an assertion binds:
     # the 2× threshold on ≥ 4 cores, the ~1.0 ratio floor when degraded.
     extra = 0

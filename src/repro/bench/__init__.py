@@ -1,8 +1,7 @@
 """Wall-clock performance harness (``repro bench``)."""
 
 from .harness import (BENCH_REGISTRY, BenchError, BenchResult,
-                      TIMERS, WORKLOADS, check_queue_name,
-                      check_workload_names, compare_to_baseline,
+                      TIMERS, check_workload_names, compare_to_baseline,
                       load_report, report_dict, resolve_timer,
                       run_suite, write_report)
 
@@ -11,8 +10,6 @@ __all__ = [
     "BenchError",
     "BenchResult",
     "TIMERS",
-    "WORKLOADS",
-    "check_queue_name",
     "check_workload_names",
     "compare_to_baseline",
     "load_report",

@@ -72,20 +72,6 @@ class BenchResult:
     #: what was asked for (0 = auto) vs what ran after the CPU clamp.
     jobs_requested: Optional[int] = None
     jobs_effective: Optional[int] = None
-    #: Event-queue backend the run used (pop-order-identical to the
-    #: heap by contract, so this is a speed knob, never a semantics
-    #: knob).
-    queue: str = "heap"
-    #: Intra-run dispatch-worker accounting (None when serial was not
-    #: even requested): requested vs effective after the CPU/cluster
-    #: clamp and the measured-ratio gate.
-    run_jobs_requested: Optional[int] = None
-    run_jobs_effective: Optional[int] = None
-    #: Parallel-over-serial events/sec ratio measured this invocation
-    #: (None when parallelism was off or degraded at construction).
-    #: Below :data:`~repro.sim.parallel.RATIO_FLOOR` the run
-    #: auto-degrades and the serial number is reported.
-    measured_ratio: Optional[float] = None
 
     @property
     def events_per_sec(self) -> float:
@@ -115,11 +101,6 @@ class BenchResult:
         if self.jobs_effective is not None:
             out["jobs_requested"] = self.jobs_requested
             out["jobs_effective"] = self.jobs_effective
-        out["queue"] = self.queue
-        if self.run_jobs_requested is not None:
-            out["run_jobs_requested"] = self.run_jobs_requested
-            out["run_jobs_effective"] = self.run_jobs_effective
-            out["measured_ratio"] = self.measured_ratio
         return out
 
 
@@ -144,46 +125,28 @@ def resolve_timer(timer: str, multiprocess: bool) -> str:
 # -- canonical workloads -----------------------------------------------------
 #
 # Each builder returns (machine, run_callable); the harness times only the
-# run_callable.  ``quick`` shrinks the workload for CI smoke runs and
-# ``engine`` carries the event-queue/run-jobs selection onto the config
-# (the run itself is pop-order-identical under every combination).
+# run_callable.  ``quick`` shrinks the workload for CI smoke runs.
 
 
-def _engine_config(base: MachineConfig,
-                   engine: Optional[Dict[str, object]]) -> MachineConfig:
-    if engine:
-        base.event_queue = engine.get("queue", "heap")  # type: ignore
-        base.event_queue_params = dict(
-            engine.get("queue_params") or {})  # type: ignore
-        base.run_jobs = engine.get("run_jobs", 1)  # type: ignore
-    return base.validate()
-
-
-def _build_oltp(quick: bool,
-                engine: Optional[Dict[str, object]] = None
-                ) -> Tuple[Machine, Callable[[], None]]:
-    machine = Machine(_engine_config(
-        MachineConfig(n_clusters=4, seed=7, trace_enabled=False), engine))
+def _build_oltp(quick: bool) -> Tuple[Machine, Callable[[], None]]:
+    machine = Machine(MachineConfig(n_clusters=4, seed=7,
+                                    trace_enabled=False))
     build_bank_workload(machine, n_clients=4,
                         txns_per_client=15 if quick else 60,
                         accounts=24, seed=7)
     return machine, lambda: machine.run_until_idle(max_events=30_000_000)
 
 
-def _build_pipeline(quick: bool,
-                    engine: Optional[Dict[str, object]] = None
-                    ) -> Tuple[Machine, Callable[[], None]]:
-    machine = Machine(_engine_config(
-        MachineConfig(n_clusters=3, seed=7, trace_enabled=False), engine))
+def _build_pipeline(quick: bool) -> Tuple[Machine, Callable[[], None]]:
+    machine = Machine(MachineConfig(n_clusters=3, seed=7,
+                                    trace_enabled=False))
     build_pipeline(machine, stages=3, items=10 if quick else 40)
     return machine, lambda: machine.run_until_idle(max_events=30_000_000)
 
 
-def _build_memory_churn(quick: bool,
-                        engine: Optional[Dict[str, object]] = None
-                        ) -> Tuple[Machine, Callable[[], None]]:
-    machine = Machine(_engine_config(
-        MachineConfig(n_clusters=3, seed=7, trace_enabled=False), engine))
+def _build_memory_churn(quick: bool) -> Tuple[Machine, Callable[[], None]]:
+    machine = Machine(MachineConfig(n_clusters=3, seed=7,
+                                    trace_enabled=False))
     for _ in range(2):
         machine.spawn(MemoryChurnProgram(pages=4,
                                          rounds=30 if quick else 80,
@@ -205,74 +168,33 @@ def _latency_summaries(metrics) -> Dict[str, Dict[str, object]]:
     return out
 
 
-def _timed_rounds(build: Callable[..., Tuple[Machine,
-                                             Callable[[], None]]],
-                  quick: bool, rounds: int, clock: Callable[[], float],
-                  engine: Optional[Dict[str, object]]
-                  ) -> Tuple[Machine, float]:
+def _measure_machine(build: Callable[[bool], Tuple[Machine,
+                                                   Callable[[], None]]],
+                     name: str, quick: bool, rounds: int,
+                     timer: str = "auto") -> BenchResult:
+    timer = resolve_timer(timer, multiprocess=False)
+    clock = TIMERS[timer]
     best: Optional[float] = None
     machine: Optional[Machine] = None
     for _ in range(rounds):
         if machine is not None:
             machine.close()
-        machine, run = build(quick, engine)
+        machine, run = build(quick)
         start = clock()
         run()
         elapsed = clock() - start
         if best is None or elapsed < best:
             best = elapsed
     assert machine is not None and best is not None
-    return machine, best
-
-
-def _measure_machine(build: Callable[..., Tuple[Machine,
-                                                Callable[[], None]]],
-                     name: str, quick: bool, rounds: int,
-                     timer: str = "auto", queue: str = "heap",
-                     queue_params: Optional[Dict[str, object]] = None,
-                     run_jobs: int = 1, **_ignored) -> BenchResult:
-    timer = resolve_timer(timer, multiprocess=False)
-    clock = TIMERS[timer]
-    engine = {"queue": queue, "queue_params": dict(queue_params or {})}
-    # The serial run is always measured: it is both the result (when
-    # run_jobs == 1) and the honest baseline the parallel loop's
-    # measured-ratio gate compares against.
-    machine, serial_best = _timed_rounds(build, quick, rounds, clock,
-                                         dict(engine, run_jobs=1))
-    result = BenchResult(
+    return BenchResult(
         name=name,
         events=machine.sim.events_executed,
         messages=machine.metrics.counter("bus.transmissions"),
         virtual_time=machine.sim.now,
-        wall_seconds=serial_best,
+        wall_seconds=best,
         rounds=rounds,
         timer=timer,
-        latency=_latency_summaries(machine.metrics),
-        queue=queue)
-    if run_jobs == 1:
-        return result
-    parallel_machine, parallel_best = _timed_rounds(
-        build, quick, rounds, clock, dict(engine, run_jobs=run_jobs))
-    # Determinism contract: the parallel loop executes the identical
-    # event sequence, so anything but equality here is a harness bug.
-    assert parallel_machine.sim.events_executed == result.events, \
-        (parallel_machine.sim.events_executed, result.events)
-    loop = parallel_machine.parallel_loop()
-    result.run_jobs_requested = run_jobs
-    if loop.degraded and loop.measured_ratio is None:
-        # Degraded at construction (CPU/cluster clamp): both timings ran
-        # the serial path, so a ratio would measure noise, not overlap.
-        result.run_jobs_effective = 1
-        return result
-    ratio = (serial_best / parallel_best) if parallel_best else 0.0
-    loop.record_measured_ratio(ratio)
-    result.measured_ratio = round(ratio, 3)
-    result.run_jobs_effective = loop.jobs_effective
-    if not loop.degraded:
-        # The gate passed: parallel mode is the configuration under
-        # test, so its timing is the reported number.
-        result.wall_seconds = parallel_best
-    return result
+        latency=_latency_summaries(machine.metrics))
 
 
 def _measure_campaign(quick: bool, rounds: int, timer: str = "auto",
@@ -340,8 +262,7 @@ def _measure_campaign(quick: bool, rounds: int, timer: str = "auto",
 
 
 #: name -> measurement callable(quick, rounds, **options); options are
-#: ``timer`` (all workloads), ``jobs``/``cache_dir`` (campaign only),
-#: ``queue``/``queue_params``/``run_jobs`` (single-machine workloads).
+#: ``timer`` (all workloads), ``jobs``/``cache_dir`` (campaign only).
 #: Registration order is report order; the CLI validates ``--workloads``
 #: against this registry up front (with did-you-mean suggestions).
 BENCH_REGISTRY: Registry[Callable[..., BenchResult]] = \
@@ -368,54 +289,6 @@ BENCH_REGISTRY.register(
                               "(jobs-capable, wall clock)"))
 
 
-class _WorkloadsView(dict):
-    """Backward-compatible dict face of :data:`BENCH_REGISTRY`
-    (``WORKLOADS["oltp"]`` keeps working for existing callers)."""
-
-    def __init__(self, registry: Registry) -> None:
-        super().__init__()
-        self._registry = registry
-
-    def _sync(self) -> None:
-        self.clear()
-        for name, entry, _ in self._registry.items():
-            super().__setitem__(name, entry)
-
-    def __iter__(self):
-        self._sync()
-        return super().__iter__()
-
-    def __len__(self) -> int:
-        self._sync()
-        return super().__len__()
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._registry
-
-    def __getitem__(self, name: str) -> Callable[..., BenchResult]:
-        return self._registry.get(name)
-
-    def get(self, name, default=None):
-        return (self._registry.get(name)
-                if name in self._registry else default)
-
-    def keys(self):
-        self._sync()
-        return super().keys()
-
-    def items(self):
-        self._sync()
-        return super().items()
-
-    def values(self):
-        self._sync()
-        return super().values()
-
-
-WORKLOADS: Dict[str, Callable[..., BenchResult]] = \
-    _WorkloadsView(BENCH_REGISTRY)
-
-
 def check_workload_names(names: List[str]) -> None:
     """Reject unknown bench-workload names up front — raises
     :class:`BenchError` carrying the registry's did-you-mean message."""
@@ -426,37 +299,20 @@ def check_workload_names(names: List[str]) -> None:
         raise BenchError(str(error)) from None
 
 
-def check_queue_name(name: str) -> None:
-    """Reject an unknown event-queue backend name up front — raises
-    :class:`BenchError` carrying the registry's did-you-mean message."""
-    from ..scenario.registry import unknown_name_message
-    from ..sim.queues import QUEUE_REGISTRY
-    if name not in QUEUE_REGISTRY:
-        raise BenchError(unknown_name_message(
-            "event queue", name, QUEUE_REGISTRY.names()))
-
-
 def run_suite(quick: bool = False, rounds: Optional[int] = None,
               workloads: Optional[List[str]] = None,
               timer: str = "auto", jobs: int = 1,
-              cache_dir: Optional[str] = None,
-              queue: str = "heap",
-              queue_params: Optional[Dict[str, object]] = None,
-              run_jobs: int = 1) -> List[BenchResult]:
+              cache_dir: Optional[str] = None) -> List[BenchResult]:
     """Measure every requested workload; defaults to all of them.
 
     ``jobs``/``cache_dir`` parameterize the fault-campaign workload's
     parallel execution engine (``0`` jobs = one worker per CPU);
-    ``queue``/``queue_params``/``run_jobs`` select the event-queue
-    backend and intra-run dispatch workers for the single-machine
-    workloads (pop-order-identical by contract — a speed knob only);
     ``timer="auto"`` times single-process workloads with
     ``process_time`` and multi-process ones with wall clock.
     """
     names = (list(BENCH_REGISTRY.names()) if workloads is None
              else workloads)
     check_workload_names(names)
-    check_queue_name(queue)
     effective_rounds = rounds if rounds is not None else (2 if quick else 5)
     results = []
     for name in names:
@@ -465,10 +321,6 @@ def run_suite(quick: bool = False, rounds: Optional[int] = None,
         if name == "fault-campaign":
             options["jobs"] = jobs
             options["cache_dir"] = cache_dir
-        else:
-            options["queue"] = queue
-            options["queue_params"] = queue_params
-            options["run_jobs"] = run_jobs
         results.append(measure(quick, effective_rounds, **options))
     return results
 

@@ -221,9 +221,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (BenchError, check_queue_name,
-                        check_workload_names, compare_to_baseline,
-                        load_report, run_suite, write_report)
+    from .bench import (BenchError, check_workload_names,
+                        compare_to_baseline, load_report, run_suite,
+                        write_report)
 
     workloads = None
     if args.workloads:
@@ -234,15 +234,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         except BenchError as error:
             print(error)
             return 2
-    try:
-        check_queue_name(args.queue)
-    except BenchError as error:
-        print(error)
-        return 2
     results = run_suite(quick=args.quick, rounds=args.rounds,
                         workloads=workloads, timer=args.timer,
-                        jobs=args.jobs, cache_dir=args.cache_dir or None,
-                        queue=args.queue, run_jobs=args.run_jobs)
+                        jobs=args.jobs, cache_dir=args.cache_dir or None)
     rows = []
     for result in results:
         mps = result.messages_per_sec
@@ -267,15 +261,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"fault-campaign: requested --jobs "
               f"{campaign.jobs_requested}, ran with "
               f"{campaign.jobs_effective} worker(s) after the CPU clamp")
-    for result in results:
-        if not result.run_jobs_requested:
-            continue
-        ratio = (f"{result.measured_ratio:.3f}x serial"
-                 if result.measured_ratio is not None
-                 else "unmeasured (degraded at construction)")
-        print(f"{result.name}: --run-jobs {result.run_jobs_requested} "
-              f"-> {result.run_jobs_effective} dispatch worker(s), "
-              f"measured ratio {ratio}")
     if args.json:
         write_report(results, args.json, quick=args.quick)
         print(f"report written to {args.json}")
@@ -443,15 +428,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="worker processes for the fault-campaign "
                             "workload (default 0 = one per CPU; "
                             "1 = serial)")
-    bench.add_argument("--queue", type=str, default="heap",
-                       help="event-queue backend for the single-machine "
-                            "workloads (heap/calendar/ladder; "
-                            "pop-order-identical, speed only)")
-    bench.add_argument("--run-jobs", type=int, default=1,
-                       help="intra-run dispatch workers for the "
-                            "single-machine workloads (1 = serial, "
-                            "0 = one per CPU; auto-degrades below a "
-                            "0.95x measured ratio)")
     bench.add_argument("--cache-dir", type=str, default="",
                        help="reference-cache directory for the "
                             "fault-campaign workload")

@@ -264,22 +264,6 @@ class MachineConfig:
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Workload RNG seed (the machine itself uses no randomness).
     seed: int = 0
-    #: Event-queue backend for the simulator core (``heap`` /
-    #: ``calendar`` / ``ladder`` — see :mod:`repro.sim.queues`).  All
-    #: backends are pop-order-identical by contract, so this is purely
-    #: a performance knob; scenarios set it via the ``engine:`` block.
-    event_queue: str = "heap"
-    #: Backend-specific parameters, validated against the backend's
-    #: registered schema at machine construction.
-    event_queue_params: dict = field(default_factory=dict)
-    #: Intra-run parallel dispatch workers (see
-    #: :class:`repro.sim.parallel.ParallelMachineLoop`): ``1`` runs the
-    #: plain serial loop, ``0`` requests one worker per CPU, higher
-    #: values are clamped to the CPU and cluster counts.  Dispatch
-    #: order — and therefore every trace — is identical either way;
-    #: the loop degrades itself to serial when measurement says
-    #: parallelism does not pay.
-    run_jobs: int = 1
 
     def validate(self) -> "MachineConfig":
         """Check section 7.1's machine constraints; return self."""
@@ -307,18 +291,6 @@ class MachineConfig:
             raise ConfigError(
                 f"server_inbox_policy must be 'defer' or 'shed', "
                 f"got {self.server_inbox_policy!r}")
-        if self.run_jobs < 0:
-            raise ConfigError(f"run_jobs must be >= 0 (0 = one per "
-                              f"CPU), got {self.run_jobs}")
-        # Imported lazily: the queue registry lives above config in the
-        # package graph.  Unknown names fail here with the registry's
-        # did-you-mean message; backend params are validated against
-        # the registered schema when the machine builds the queue.
-        from .sim.queues import QUEUE_REGISTRY
-        if self.event_queue not in QUEUE_REGISTRY:
-            from .scenario.registry import unknown_name_message
-            raise ConfigError(unknown_name_message(
-                "event queue", self.event_queue, QUEUE_REGISTRY.names()))
         self.bus_faults.validate()
         self.resilience.validate()
         return self

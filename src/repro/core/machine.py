@@ -66,29 +66,15 @@ class Machine:
         self.metrics = MetricSet(
             keep_series=self.config.metrics_raw_series)
         self.trace = TraceLog(enabled=self.config.trace_enabled)
-        if self.config.event_queue != "heap" \
-                or self.config.event_queue_params:
-            from ..sim.queues import make_queue
-            queue = make_queue(self.config.event_queue,
-                               self.config.event_queue_params)
-            self.sim = Simulator(trace=self.trace, queue=queue)
-        else:
-            # Keyword kept off the default path: the A/B engine swaps
-            # (legacy/P3 vendored simulators) predate the ``queue``
-            # parameter.
-            self.sim = Simulator(trace=self.trace)
-        #: Built lazily on first run when ``config.run_jobs != 1``.
-        self._parallel_loop = None
+        self.sim = Simulator(trace=self.trace)
         self.topology = (topology if topology is not None
                          else Topology.default(self.config))
         self.disks = self.topology.build_disks()
         self.bus = InterclusterBus(self.sim, self.config.costs,
                                    self.metrics, self.trace)
-        if self.config.bus_faults.enabled:
-            # Post-construction install keeps the 4-arg constructor the
-            # A/B legacy-engine swap relies on; with rates at zero the
-            # bus keeps its fault-free fast path untouched.
-            self.bus.configure_faults(self.config.bus_faults)
+        # With rates at zero no fault layer is installed and the bus
+        # keeps its fault-free fast path untouched.
+        self.bus.configure_faults(self.config.bus_faults)
         self.clusters: List[Cluster] = [
             Cluster(cid, self.config, self.sim, self.bus, self.metrics,
                     self.trace)
@@ -209,8 +195,6 @@ class Machine:
         self._closed = True
         for injector in self.injectors:
             injector.detach()
-        if self._parallel_loop is not None:
-            self._parallel_loop.close()
         self.sim.close()
         self.bus.close()
         for cluster in self.clusters:
@@ -220,7 +204,7 @@ class Machine:
         self.injectors = []
         self.clusters = []
         self.kernels = []
-        self.bus = self.resilience = self._parallel_loop = None
+        self.bus = self.resilience = None
 
     def _check_open(self) -> None:
         if self._closed:
@@ -282,31 +266,15 @@ class Machine:
     # running
     # ------------------------------------------------------------------
 
-    def parallel_loop(self) -> "object":
-        """The intra-run parallel dispatcher for this machine (built on
-        first use; see :class:`repro.sim.parallel.ParallelMachineLoop`).
-        Only consulted when ``config.run_jobs != 1``."""
-        if self._parallel_loop is None:
-            from ..sim.parallel import ParallelMachineLoop
-            self._parallel_loop = ParallelMachineLoop(
-                self, jobs=self.config.run_jobs)
-        return self._parallel_loop
-
     def run(self, until: Optional[Ticks] = None,
             max_events: Optional[int] = None) -> Ticks:
         """Advance the simulation (see :meth:`Simulator.run`)."""
         self._check_open()
-        if self.config.run_jobs != 1:
-            return self.parallel_loop().run(until=until,
-                                            max_events=max_events)
         return self.sim.run(until=until, max_events=max_events)
 
     def run_until_idle(self, max_events: int = 10_000_000) -> Ticks:
         """Run until nothing is scheduled (blocked processes may remain)."""
         self._check_open()
-        if self.config.run_jobs != 1:
-            return self.parallel_loop().run_until_idle(
-                max_events=max_events)
         return self.sim.run_until_idle(max_events=max_events)
 
     # ------------------------------------------------------------------

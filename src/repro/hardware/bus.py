@@ -103,12 +103,8 @@ class InterclusterBus:
         self._clusters[cluster.cluster_id] = cluster
 
     def configure_faults(self, config: BusFaultConfig) -> None:
-        """Install (or remove) the dual-bus transient-fault layer.
-
-        Called after construction so the constructor signature stays
-        identical to the vendored pre-fast-path bus the A/B benchmark
-        swaps in.
-        """
+        """Install (or remove) the dual-bus transient-fault layer; a
+        config with both rates at zero leaves the perfect channel."""
         self._faults = (DualBusFaultLayer(config) if config is not None
                         and config.enabled else None)
 

@@ -68,8 +68,8 @@ class Scheduler:
     paper's "very high priority" treatment of system work.
 
     The step engine is the hottest non-loop code in the repository, so it
-    trades a little uniformity for allocation avoidance (measured in the
-    P3 A/B benchmark):
+    trades a little uniformity for allocation avoidance (measured on the
+    dense OLTP workload):
 
     * one :class:`StepContext` + :class:`MemoryTxn` pair is cached per
       PCB and reset per step instead of allocated per step;
@@ -88,9 +88,6 @@ class Scheduler:
 
     def __init__(self, kernel: "ClusterKernel") -> None:
         self.kernel = kernel
-        #: Names the partition this scheduler's events belong to (read by
-        #: :class:`~repro.sim.parallel.ParallelMachineLoop`).
-        self.cluster_id = kernel.cluster_id
         self._ready_high: Deque[Pid] = deque()
         self._ready_normal: Deque[Pid] = deque()
         # Hot-path bindings (kernel.sim/metrics are fixed for the

@@ -109,14 +109,6 @@ class CompiledScenario:
             if machine[key] is not None:
                 setattr(config, key, machine[key])
         config.bus_faults = self._bus_config()
-        engine = self.doc.get("engine")
-        if engine:
-            # Performance-only by contract: every engine combination is
-            # pop-order-identical, so this can never change what the
-            # scenario observes.
-            config.event_queue = engine["queue"]
-            config.event_queue_params = dict(engine["queue_params"])
-            config.run_jobs = engine["run_jobs"]
         services = self.doc.get("services")
         if services:
             # Enabled resilience services are part of the machine under

@@ -37,7 +37,7 @@ class SchemaError(RegistryError):
 # ----------------------------------------------------------------------
 
 TOP_LEVEL_KEYS: Tuple[str, ...] = (
-    "scenario", "description", "workload", "machine", "engine", "bus",
+    "scenario", "description", "workload", "machine", "bus",
     "services", "sweep", "fault", "baseline", "expect", "max_events")
 
 #: ``machine:`` — shape preset plus field-by-field MachineConfig
@@ -63,20 +63,6 @@ MACHINE_SPECS: Dict[str, ParamSpec] = {
                                      default=None, nullable=True,
                                      choices=("defer", "shed")),
     "seed": ParamSpec(int, "machine/workload RNG seed", default=0),
-}
-
-#: ``engine:`` — simulator-core selection (performance only: every
-#: combination is pop-order-identical by contract, so an ``engine:``
-#: block can never change what a scenario observes, only how fast it
-#: runs).
-ENGINE_SPECS: Dict[str, ParamSpec] = {
-    "queue": ParamSpec(str, "event-queue backend name",
-                       default="heap"),
-    "queue_params": ParamSpec(dict, "backend-specific parameters",
-                              default=None, nullable=True),
-    "run_jobs": ParamSpec(int, "intra-run dispatch workers "
-                               "(1 = serial, 0 = one per CPU)",
-                          default=1),
 }
 
 #: ``bus:`` — the degraded-bus fault model (BusFaultConfig).
@@ -244,28 +230,8 @@ def validate_scenario(doc: Any, source: str = "") -> Dict[str, Any]:
         workload = validate_params(
             _require_mapping(doc.get("workload"), "workload"),
             WORKLOAD_SPECS, "workload")
-        engine = validate_params(
-            _require_mapping(doc.get("engine"), "engine"),
-            ENGINE_SPECS, "engine")
     except RegistryError as error:
         raise SchemaError(f"{where}: {error}") from None
-
-    from ..sim.queues import QUEUE_REGISTRY
-    if engine["queue"] not in QUEUE_REGISTRY:
-        raise SchemaError(f"{where}: engine.queue: "
-                          + unknown_name_message(
-                              "event queue", engine["queue"],
-                              QUEUE_REGISTRY.names()))
-    try:
-        engine["queue_params"] = validate_params(
-            engine["queue_params"],
-            QUEUE_REGISTRY.metadata(engine["queue"]).params,
-            "engine.queue_params")
-    except RegistryError as error:
-        raise SchemaError(f"{where}: {error}") from None
-    if engine["run_jobs"] < 0:
-        raise SchemaError(f"{where}: engine.run_jobs: must be >= 0 "
-                          f"(0 = one worker per CPU)")
 
     if machine["shape"] not in SHAPE_REGISTRY:
         raise SchemaError(f"{where}: machine.shape: "
@@ -305,7 +271,6 @@ def validate_scenario(doc: Any, source: str = "") -> Dict[str, Any]:
         "description": description,
         "workload": workload,
         "machine": machine,
-        "engine": engine,
         "bus": bus,
         "services": _validate_services(doc.get("services"), where),
         "sweep": None,
@@ -323,7 +288,6 @@ def validate_scenario(doc: Any, source: str = "") -> Dict[str, Any]:
         # normalized document itself re-validates (the canonical
         # round-trip contract).
         normalized["workload"]["params"] = None
-        normalized["engine"] = {}
         for section, allowed in SWEEP_ALLOWED.items():
             normalized[section] = {key: normalized[section][key]
                                    for key in allowed}
@@ -417,10 +381,6 @@ def _check_baseline_constraints(doc: Mapping[str, Any],
             f"{where}: 'services:' cannot reach the shootout's "
             f"per-cell machines; baseline mode compares recovery "
             f"designs, not resilience services")
-    if _require_mapping(doc.get("engine"), "engine"):
-        raise SchemaError(
-            f"{where}: 'engine:' cannot reach the shootout's per-cell "
-            f"machines; engine selection is an explicit-mode section")
     given = _require_mapping(doc.get("workload"), "workload")
     if given:
         raise SchemaError(
@@ -436,10 +396,8 @@ def _check_baseline_constraints(doc: Mapping[str, Any],
                     + ", ".join(f"machine.{name}"
                                 for name in SWEEP_ALLOWED["machine"]))
     # Null the owned sections entirely so the canonical round-trip
-    # emits no workload/bus/engine at all (this very check rejects
-    # them).
+    # emits no workload/bus at all (this very check rejects them).
     normalized["workload"] = {"recipe": None, "params": None}
-    normalized["engine"] = {}
     normalized["machine"] = {
         key: normalized["machine"][key]
         for key in SWEEP_ALLOWED["machine"]}
@@ -459,11 +417,6 @@ def _check_sweep_constraints(doc: Mapping[str, Any],
         raise SchemaError(
             f"{where}: 'services:' is an explicit-mode section; the "
             f"campaign machinery owns the sweep's machine configs")
-    if _require_mapping(doc.get("engine"), "engine"):
-        raise SchemaError(
-            f"{where}: 'engine:' cannot reach the campaign's per-seed "
-            f"machines (the campaign machinery owns their configs); "
-            f"engine selection is an explicit-mode section")
     if normalized["workload"]["recipe"] != "generated":
         raise SchemaError(
             f"{where}: workload.recipe: a sweep always uses the "

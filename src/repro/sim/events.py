@@ -128,8 +128,8 @@ _Entry = Tuple[int, int, int, Union[Event, _Posted], Callable[..., None],
 
 def _event_of(entry: _Entry) -> Event:
     """The :class:`Event` a popped entry stands for.  A posted entry has
-    none until somebody asks (the pop API, the backend-neutral loops), so
-    one is built here from the entry's own key."""
+    none until somebody asks (the pop API), so one is built here from the
+    entry's own key."""
     handle = entry[3]
     if handle is POSTED:
         return Event(entry[0], entry[1], entry[2], entry[4], args=entry[5])
@@ -140,34 +140,18 @@ class EventHeap:
     """A deterministic min-heap of scheduled calls.
 
     :meth:`push` returns a cancellable :class:`Event`; :meth:`post`
-    stores the call with no handle.  The pop API hands out ``Event``
-    objects for both (built on demand for posted entries), to be
-    dispatched as ``event.action(*event.args)``.
-
-    Beyond the classic push/pop surface this exposes the *batch* protocol
-    the event loop dispatches through (see :class:`~repro.sim.queues.EventQueue`
-    for the formal contract shared with the calendar and ladder backends):
-
-    * :meth:`pop_batch` drains one run of same-timestamp events in a
-      single call, so the loop pays its bound checks and bookkeeping once
-      per *timestamp* instead of once per event;
-    * ``same_time_watch`` / ``same_time_dirty`` let the loop detect a push
-      landing at the timestamp of the batch it is currently executing —
-      the one case where batch dispatch could reorder relative to
-      single-event dispatch — and fall back via :meth:`reinsert`.
+    stores the call with no handle.  The simulator's event loop drains
+    the entry list directly; :meth:`pop` hands out ``Event`` objects for
+    both kinds (built on demand for posted entries), to be dispatched as
+    ``event.action(*event.args)``.
     """
 
-    __slots__ = ("_heap", "_seq", "_live", "same_time_watch",
-                 "same_time_dirty")
+    __slots__ = ("_heap", "_seq", "_live")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
         self._seq = 0
         self._live = 0
-        #: Timestamp the event loop is currently executing a batch at, or
-        #: -1.  A push at exactly this time sets ``same_time_dirty``.
-        self.same_time_watch = -1
-        self.same_time_dirty = False
 
     def __len__(self) -> int:
         return self._live
@@ -183,8 +167,6 @@ class EventHeap:
         return the (cancellable) event."""
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
-        if time == self.same_time_watch:
-            self.same_time_dirty = True
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
@@ -195,32 +177,14 @@ class EventHeap:
     def post(self, time: int, fn: Callable[..., None],
              args: tuple = ()) -> None:
         """Schedule ``fn(*args)`` at absolute virtual ``time``, priority
-        0, with no handle: the same key, watch-flag and live-count
-        accounting as :meth:`push`, minus the :class:`Event` nobody
-        would keep."""
+        0, with no handle: the same key and live-count accounting as
+        :meth:`push`, minus the :class:`Event` nobody would keep."""
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
-        if time == self.same_time_watch:
-            self.same_time_dirty = True
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
         heappush(self._heap, (time, 0, seq, POSTED, fn, args))
-
-    def reinsert(self, event: Event) -> None:
-        """Put a popped-but-unexecuted event back, keeping its original key.
-
-        Used by the event loop's same-tick fallback: when a batch member's
-        action schedules new work at the batch's own timestamp, the
-        undispatched tail of the batch is reinserted and re-popped in key
-        order against the late arrivals.  The original ``(time, priority,
-        seq)`` is preserved, so reinserted events keep their place in the
-        total order.  An event materialised from a posted entry comes
-        back as an ordinary cancellable entry under the same key.
-        """
-        self._live += 1
-        heappush(self._heap, (event.time, event.priority, event.seq, event,
-                              event.action, event.args))
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty.
@@ -236,80 +200,6 @@ class EventHeap:
                 continue
             return _event_of(entry)
         return None
-
-    def pop_next(self, until: Optional[int] = None) -> Optional[Event]:
-        """Remove and return the next live event at ``time <= until``.
-
-        The combined peek-and-pop the event loop runs: one lazy-discard
-        pass serves both the bound check and the pop, where the old
-        ``peek_time()``-then-``pop()`` pairing scanned cancelled heads
-        twice per iteration.  An event beyond ``until`` stays in the heap
-        and ``None`` is returned.  Discarded cancelled events decrement
-        the live count exactly as :meth:`pop` does.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[3].cancelled:
-                heappop(heap)
-                self._live -= 1
-                continue
-            if until is not None and head[0] > until:
-                return None
-            heappop(heap)
-            self._live -= 1
-            return _event_of(head)
-        return None
-
-    def pop_batch(self, until: Optional[int] = None,
-                  limit: Optional[int] = None,
-                  into: Optional[List[Event]] = None) -> List[Event]:
-        """Remove and return one run of live events sharing a timestamp.
-
-        The batch starts at the next live head within the (inclusive)
-        ``until`` bound and extends through every live event at that same
-        timestamp, ordered by ``(priority, seq)`` — exactly the order
-        repeated :meth:`pop_next` calls would produce.  A batch never
-        mixes timestamps and never crosses ``until``; ``limit`` caps the
-        batch length, leaving the rest of the run for the next call.
-
-        Cancelled entries encountered during the drain are discarded with
-        the same live-count accounting as :meth:`pop_next`, including a
-        cancelled head beyond the bound (the phantom-pending rule).
-        Returns ``[]`` when nothing is due.
-
-        ``into``, when given, is cleared and refilled instead of
-        allocating a fresh list — the event loop calls this once per
-        timestamp, and at modest tie density a per-call list allocation
-        erases most of the batching win.
-        """
-        heap = self._heap
-        if into is None:
-            batch: List[Event] = []
-        else:
-            batch = into
-            batch.clear()
-        while heap:
-            head = heap[0]
-            if head[3].cancelled:
-                heappop(heap)
-                self._live -= 1
-                continue
-            if until is not None and head[0] > until:
-                return batch
-            break
-        if not heap:
-            return batch
-        run_time = heap[0][0]
-        while heap and heap[0][0] == run_time:
-            if limit is not None and len(batch) >= limit:
-                break
-            entry = heappop(heap)
-            self._live -= 1
-            if entry[3].cancelled:
-                continue
-            batch.append(_event_of(entry))
-        return batch
 
     def peek_time(self) -> Optional[int]:
         """Return the virtual time of the next live event without popping it.

@@ -13,8 +13,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Callable, Optional
 
-from .events import (POSTED, Event, EventHeap, SchedulingError,
-                     SimulationError)
+from .events import POSTED, Event, EventHeap, SchedulingError, SimulationError
 from .trace import TraceLog
 
 
@@ -36,26 +35,18 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, trace: Optional[TraceLog] = None,
-                 queue: Optional["EventHeap"] = None) -> None:
+    def __init__(self, trace: Optional[TraceLog] = None) -> None:
         #: Current virtual time in ticks.  Read-only by convention.
         self.now = 0
-        #: The event-queue backend.  Anything satisfying the
-        #: :class:`~repro.sim.queues.EventQueue` protocol works; the
-        #: default binary heap is right for almost every workload (see
-        #: docs/performance.md, "Choosing an event queue").
-        self._heap = queue if queue is not None else EventHeap()
+        self._heap = EventHeap()
         self._running = False
         self._event_count = 0
         self.trace = trace if trace is not None else TraceLog()
-        if type(self._heap) is EventHeap:
-            # Shadow the method with a fused closure: post is the single
-            # busiest entry point (one call per scheduled event) and the
-            # generic path pays two call layers plus attribute walks that
-            # a closure over the heap's internals avoids.  Pluggable
-            # backends keep the method, which routes through their own
-            # push().
-            self.post = self._make_fast_post()
+        # Shadow the method with a fused closure: post is the single
+        # busiest entry point (one call per scheduled event) and the
+        # method pays two call layers plus attribute walks that a closure
+        # over the heap's internals avoids.
+        self.post = self._make_fast_post()
 
     @property
     def events_executed(self) -> int:
@@ -103,12 +94,12 @@ class Simulator:
         """
         if delay < 0:
             raise SchedulingError(f"delay must be >= 0, got {delay}")
-        self._heap.push(self.now + delay, fn, args=args)
+        self._heap.post(self.now + delay, fn, args)
 
     def _make_fast_post(self) -> Callable[..., None]:
-        """Build the fused :meth:`post` used with the default heap:
-        :meth:`EventHeap.post` inlined into the scheduling call, with
-        identical bounds, watch-flag and live-count semantics."""
+        """Build the fused :meth:`post`: :meth:`EventHeap.post` inlined
+        into the scheduling call, with identical bounds and live-count
+        semantics."""
         heap = self._heap
         entries = heap._heap
 
@@ -116,13 +107,10 @@ class Simulator:
                  args: tuple = ()) -> None:
             if delay < 0:
                 raise SchedulingError(f"delay must be >= 0, got {delay}")
-            time = self.now + delay
-            if time == heap.same_time_watch:
-                heap.same_time_dirty = True
             seq = heap._seq
             heap._seq = seq + 1
             heap._live += 1
-            heappush(entries, (time, 0, seq, POSTED, fn, args))
+            heappush(entries, (self.now + delay, 0, seq, POSTED, fn, args))
 
         return post
 
@@ -134,14 +122,10 @@ class Simulator:
         unclosed simulator is only ever freed by the cyclic collector.
         ``now`` and ``events_executed`` stay readable.
         """
-        heap = self._heap
-        if type(heap) is EventHeap:
-            # Emptied in place: the fused post that components still
-            # alias closes over this very heap.
-            heap.clear()
-            self.__dict__.pop("post", None)
-        else:
-            self._heap = EventHeap()
+        # Emptied in place: the fused post that components still alias
+        # closes over this very heap.
+        self._heap.clear()
+        self.__dict__.pop("post", None)
 
     def run(self, until: Optional[int] = None,
             max_events: Optional[int] = None) -> int:
@@ -154,57 +138,34 @@ class Simulator:
 
         The dispatch loop is the hottest code in the repository: every
         bus transfer, scheduler step, and sync in every experiment passes
-        through it.  It dispatches in *batches* — one run of
-        same-timestamp events at a time — so the bound checks and the
-        clock write are paid once per timestamp rather than once per
-        event.
-
-        Two implementations share that structure:
-
-        * For the default :class:`EventHeap` the run drain is inlined
-          over the raw heap list, popping one entry at a time.  Events
-          pushed *at the current tick* by an executing action simply land
-          in the heap and are drained in ``(priority, seq)`` order with
-          the rest of the run, so this path is order-identical to
-          single-event dispatch by construction.
-        * Pluggable backends (calendar, ladder — see
-          :mod:`repro.sim.queues`) go through the generic
-          :meth:`~repro.sim.events.EventHeap.pop_batch` protocol, which
-          materialises the run up front.  There a same-tick push *would*
-          reorder against the undispatched remainder, so the queue flags
-          such pushes via ``same_time_watch`` / ``same_time_dirty`` and
-          the loop reinserts the tail (original keys preserved) and
-          re-pops, restoring the exact serial order.  No current
-          component schedules at zero delay — every cost in
-          :class:`~repro.config.CostModel` is at least one tick — so
-          that fallback is a correctness net, not a hot path.
+        through it.  It dispatches one run of same-timestamp events at a
+        time, so the bound checks and the clock write are paid once per
+        timestamp rather than once per event.  Events pushed *at the
+        current tick* by an executing action simply land in the heap and
+        are drained in ``(priority, seq)`` order with the rest of the
+        run, so the order is single-event dispatch order by construction.
         """
         if self._running:
             raise SimulationError("simulator is not reentrant")
         self._running = True
         executed = 0
-        heap = self._heap
         try:
-            if type(heap) is EventHeap:
-                executed = self._run_heap_fast(heap, until, max_events)
-            else:
-                executed = self._run_generic(heap, until, max_events)
+            executed = self._run_heap_fast(self._heap, until, max_events)
             if until is not None and self.now < until:
                 self.now = until
             return self.now
         finally:
-            heap.same_time_watch = -1
             self._event_count += executed
             self._running = False
 
     def _run_heap_fast(self, heap: EventHeap, until: Optional[int],
                        max_events: Optional[int]) -> int:
-        """Batch dispatch inlined over the default heap's entry list.
+        """The dispatch loop, inlined over the heap's entry list.
 
         Operates on ``heap._heap`` directly with the same lazy-discard
-        and live-count accounting as :meth:`EventHeap.pop_next`; the
+        and live-count accounting as :meth:`EventHeap.pop`; the
         method-call layer per event was a measured fraction of dense
-        workloads (see the P3 A/B benchmark).
+        workloads.
         """
         executed = 0
         stop_at = max_events if max_events is not None else (1 << 62)
@@ -236,46 +197,6 @@ class Simulator:
                 executed += 1
                 entry[4](*entry[5])
                 if executed == stop_at:
-                    break
-        return executed
-
-    def _run_generic(self, heap: "EventHeap", until: Optional[int],
-                     max_events: Optional[int]) -> int:
-        """Batch dispatch through the backend-neutral pop_batch protocol
-        (any :class:`~repro.sim.queues.EventQueue` implementation)."""
-        executed = 0
-        pop_batch = heap.pop_batch
-        reinsert = heap.reinsert
-        buffer: list = []      # reused across batches; pop_batch refills it
-        while True:
-            if max_events is not None:
-                remaining = max_events - executed
-                if remaining <= 0:
-                    break
-                batch = pop_batch(until, remaining, buffer)
-            else:
-                batch = pop_batch(until, None, buffer)
-            if not batch:
-                break
-            self.now = now = batch[0].time
-            heap.same_time_watch = now
-            heap.same_time_dirty = False
-            index = 0
-            size = len(batch)
-            while index < size:
-                event = batch[index]
-                index += 1
-                # A batch member cancelled by an earlier member's
-                # action: skip it, exactly as the serial scan would
-                # have discarded it before dispatch.
-                if event.cancelled:
-                    continue
-                executed += 1
-                event.action(*event.args)
-                if heap.same_time_dirty:
-                    for later in batch[index:]:
-                        if not later.cancelled:
-                            reinsert(later)
                     break
         return executed
 

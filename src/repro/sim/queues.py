@@ -1,75 +1,46 @@
-"""Pluggable event-queue backends for the simulator core.
+"""Alternative event-queue structures, kept as a benchmark subject.
 
-The event loop dispatches through a narrow queue protocol —
-:class:`EventQueue` — with three interchangeable implementations:
+The simulator runs on one queue, the binary heap in
+:mod:`repro.sim.events`.  The two structures here were once selectable
+backends for it and lost to the heap on every measured shape (see
+docs/performance.md, "What we tried and what it measured"); they stay
+only because ``perfbench/probes.py`` times all three through
+:func:`make_queue` on the classic hold model.  This module goes when
+those probes go.
 
 ``heap``
-    The binary heap from :mod:`repro.sim.events` (the default).  C-level
-    ``heapq`` on tuple keys; unbeatable at the small queue depths the
-    current workloads produce (the dense OLTP shape holds ~3–10 pending
-    events), and the reference implementation the other two are held to.
+    :class:`~repro.sim.events.EventHeap`: C-level ``heapq`` on tuple
+    keys, and the reference the other two are held to.
 ``calendar``
     A calendar queue (Brown, CACM 1988): events bucketed by virtual-time
     "day", O(1) insert into a short per-day list, pop from the earliest
-    non-empty day.  Wins when thousands of events spread across many
-    distinct timestamps — the fleet-scale shape of ROADMAP item 1.
+    non-empty day.
 ``ladder``
     A ladder queue (Tang et al., TOMACS 2005): an unsorted far-future
-    *top* band, recursively split *rungs*, and a small sorted *bottom*.
-    Insert is O(1) append for far-future events; sorting effort is
-    deferred until events are near due, which suits bursty schedules
-    (timeout storms, mass retransmissions) where most far-future events
-    are cancelled before ever needing an ordered position.
+    *top* band, recursively split *rungs*, and a small sorted *bottom*;
+    sorting effort is deferred until events are near due.
 
 The contract, enforced by the differential test in
-``tests/test_sim_events_model.py``, is *identical observable behaviour*:
-the exact pop order of the heap — including ``(time, priority, seq)``
-tie-breaking — and the same lazy-cancellation live-count accounting on
-every operation (``pop`` / ``pop_next`` / ``pop_batch`` / ``peek_time``).
-Determinism of a run therefore never depends on which backend executes
-it; the healthy-path byte-identity gates run against all three.
-
-Both alternative backends share one skeleton (:class:`_QueueBase`) that
-implements the whole protocol in terms of two structure-specific
-primitives — peek-minimum and pop-minimum — so the boundary semantics
-pinned in ``tests/test_sim_pop_batch.py`` are written once, not three
-times.
-
-Backends register on :data:`QUEUE_REGISTRY` (the generic scenario
-registry: did-you-mean errors, parameter schemas) and are selected via
-``repro bench --queue`` or a scenario file's ``engine:`` block; see
-``docs/performance.md`` ("Choosing an event queue").
+``tests/test_sim_events_model.py``, is the heap's exact pop order —
+including ``(time, priority, seq)`` tie-breaking — and its
+lazy-cancellation live-count accounting on ``pop`` and ``peek_time``.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from heapq import heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Protocol, Tuple
+from typing import Callable, Dict, List, Optional, Protocol, Tuple
 
-from ..scenario.registry import EntryMetadata, ParamSpec, Registry
 from .events import Event, EventHeap, SchedulingError
 
-#: Queue entries: comparison key inline, event last.  These backends
-#: always allocate the :class:`Event` (posted work reaches them through
-#: ``push(..., args=...)``); only the default heap stores handle-free
-#: entries.
+#: Queue entries: comparison key inline, event last.
 _Entry = Tuple[int, int, int, Event]
 
 
 class EventQueue(Protocol):
-    """What the simulator requires of an event-queue backend.
-
-    Implementations must reproduce :class:`~repro.sim.events.EventHeap`
-    behaviour exactly: total order ``(time, priority, seq)``, lazy
-    cancellation with live-count accounting on every scan, inclusive
-    ``until`` bounds, and the same-tick watch flag the batched loop's
-    fallback path relies on.  Popped events are dispatched as
-    ``event.action(*event.args)``.
-    """
-
-    same_time_watch: int
-    same_time_dirty: bool
+    """What the hold-model probe and the differential test use of a
+    queue: the :class:`~repro.sim.events.EventHeap` push/pop surface."""
 
     def __len__(self) -> int: ...
 
@@ -79,32 +50,20 @@ class EventQueue(Protocol):
 
     def pop(self) -> Optional[Event]: ...
 
-    def pop_next(self, until: Optional[int] = None) -> Optional[Event]: ...
-
-    def pop_batch(self, until: Optional[int] = None,
-                  limit: Optional[int] = None,
-                  into: Optional[List[Event]] = None) -> List[Event]: ...
-
     def peek_time(self) -> Optional[int]: ...
-
-    def reinsert(self, event: Event) -> None: ...
 
 
 class _QueueBase:
-    """Protocol skeleton over two primitives: ``_head`` (peek the
+    """The heap's surface over two primitives: ``_head`` (peek the
     minimum entry or ``None``) and ``_pop_head`` (remove it).
 
-    Subclasses provide ``_insert(entry)`` plus those two; everything
-    observable — seq assignment, live counting, lazy discard, bound
-    semantics, batch draining, the same-tick watch — lives here so all
-    backends share it verbatim.
+    Subclasses provide ``_insert(entry)`` plus those two; seq
+    assignment, live counting and lazy discard live here.
     """
 
     def __init__(self) -> None:
         self._seq = 0
         self._live = 0
-        self.same_time_watch = -1
-        self.same_time_dirty = False
 
     # subclasses implement:
     def _insert(self, entry: _Entry) -> None:  # pragma: no cover
@@ -123,18 +82,12 @@ class _QueueBase:
              priority: int = 0, label: str = "", args: tuple = ()) -> Event:
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
-        if time == self.same_time_watch:
-            self.same_time_dirty = True
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
         event = Event(time, priority, seq, action, label, False, args)
         self._insert((time, priority, seq, event))
         return event
-
-    def reinsert(self, event: Event) -> None:
-        self._live += 1
-        self._insert((event.time, event.priority, event.seq, event))
 
     def pop(self) -> Optional[Event]:
         while True:
@@ -145,53 +98,6 @@ class _QueueBase:
             self._live -= 1
             if not entry[3].cancelled:
                 return entry[3]
-
-    def pop_next(self, until: Optional[int] = None) -> Optional[Event]:
-        while True:
-            entry = self._head()
-            if entry is None:
-                return None
-            if entry[3].cancelled:
-                self._pop_head()
-                self._live -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return None
-            self._pop_head()
-            self._live -= 1
-            return entry[3]
-
-    def pop_batch(self, until: Optional[int] = None,
-                  limit: Optional[int] = None,
-                  into: Optional[List[Event]] = None) -> List[Event]:
-        if into is None:
-            batch: List[Event] = []
-        else:
-            batch = into
-            batch.clear()
-        while True:
-            entry = self._head()
-            if entry is None:
-                return batch
-            if entry[3].cancelled:
-                self._pop_head()
-                self._live -= 1
-                continue
-            if until is not None and entry[0] > until:
-                return batch
-            break
-        run_time = entry[0]
-        while True:
-            entry = self._head()
-            if entry is None or entry[0] != run_time:
-                return batch
-            if limit is not None and len(batch) >= limit:
-                return batch
-            self._pop_head()
-            self._live -= 1
-            if entry[3].cancelled:
-                continue
-            batch.append(entry[3])
 
     def peek_time(self) -> Optional[int]:
         while True:
@@ -213,7 +119,7 @@ class CalendarQueue(_QueueBase):
     earliest non-empty day.  Insert costs one ``insort`` into a short
     per-day list (O(1) when ``day_width`` matches the schedule density);
     pops walk the current day front-to-back, so a run of same-time
-    events — the batch-dispatch case — drains from one contiguous list.
+    events drains from one contiguous list.
 
     Unlike Brown's original, days are allocated lazily in a dict rather
     than a fixed modular array, so no resize heuristics are needed and
@@ -412,38 +318,14 @@ class LadderQueue(_QueueBase):
         return self._bottom.pop(0)
 
 
-# -- registry ----------------------------------------------------------------
-
-#: name -> factory producing a fresh :class:`EventQueue`.  The scenario
-#: ``engine.queue`` block and ``repro bench --queue`` both resolve here,
-#: so unknown names fail with the standard did-you-mean message.
-QUEUE_REGISTRY: Registry[Callable[..., Any]] = Registry("event queue")
-
-QUEUE_REGISTRY.register(
-    "heap", EventHeap,
-    EntryMetadata("binary heap (C heapq on tuple keys) — the default; "
-                  "best at small queue depths"))
-QUEUE_REGISTRY.register(
-    "calendar", CalendarQueue,
-    EntryMetadata("calendar queue: day-bucketed, O(1) insert — wins on "
-                  "wide schedules with many distinct timestamps",
-                  params={"day_width": ParamSpec(
-                      int, "virtual ticks per calendar day", default=64)}))
-QUEUE_REGISTRY.register(
-    "ladder", LadderQueue,
-    EntryMetadata("ladder queue: deferred sorting of far-future events — "
-                  "wins on bursty/timeout-heavy schedules",
-                  params={"bottom_threshold": ParamSpec(
-                      int, "max events sorted into the bottom rung at "
-                           "once", default=32)}))
+#: name -> queue class, for the hold-model probe.
+QUEUES: Dict[str, Callable[[], EventQueue]] = {
+    "heap": EventHeap,
+    "calendar": CalendarQueue,
+    "ladder": LadderQueue,
+}
 
 
-def make_queue(name: str, params: Optional[Dict[str, Any]] = None) -> Any:
-    """Build a queue backend by registered name, validating ``params``
-    against the backend's schema (loud unknown-key/type errors)."""
-    from ..scenario.registry import validate_params
-
-    factory = QUEUE_REGISTRY.get(name)
-    spec = QUEUE_REGISTRY.metadata(name).params
-    normalized = validate_params(params, spec, f"queue[{name}].params")
-    return factory(**normalized)
+def make_queue(name: str) -> EventQueue:
+    """A fresh, empty queue of the named structure."""
+    return QUEUES[name]()

@@ -146,3 +146,22 @@ def test_exits_before_crash_not_replayed():
     machine.run_until_idle(max_events=5_000_000)
     assert machine.tty_output() == lines_before
     assert machine.metrics.counter("recovery.promotions") == 0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=TypeError,
+    reason="known bug: the crash handler re-protects the idle process "
+           "server with a full=True sync taken while it is blocked in "
+           "ReadAny with its state already at 'dispatch'; the snapshot "
+           "loses the pending ReadAny, so the backup promoted by the "
+           "second crash re-enters state_dispatch with ctx.rv None")
+def test_sequential_second_crash_promotes_the_reprotected_process_server():
+    """Two sequential crashes: cluster 1 (server backups) dies, the
+    process server is re-protected onto cluster 2, then cluster 0 (its
+    primary) dies and the new backup is promoted."""
+    machine = make_machine(n_clusters=3, trace=True)
+    machine.spawn(TtyWriterProgram(lines=80, tag="w", compute=2_000),
+                  cluster=2, sync_reads_threshold=3)
+    machine.crash_cluster(1, at=4_000)
+    machine.crash_cluster(0, at=60_000)
+    machine.run_until_idle()

@@ -322,6 +322,21 @@ def test_runner_turns_schema_errors_into_failed_outcomes(tmp_path):
     assert "did you mean" in outcome.violations[0]
 
 
+def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
+    """The simulator has one engine, so an ``engine:`` section is an
+    unknown top-level key: ``scenario validate`` reports it against the
+    file and exits 2, with no traceback."""
+    from repro.cli import main
+
+    path = tmp_path / "engine.yaml"
+    path.write_text("scenario: old\nworkload:\n  recipe: pipeline\n"
+                    "engine:\n  queue: ladder\n")
+    assert main(["scenario", "validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"{path}: unknown top-level key 'engine'" in out
+    assert "Traceback" not in out
+
+
 # -- plugin registration end to end -----------------------------------
 
 

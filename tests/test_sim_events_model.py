@@ -1,28 +1,27 @@
-"""Randomized differential test: every queue backend vs. a naive model.
+"""Randomized differential tests against naive models.
 
-The fast-path heap (tuple keys, lazy cancellation, the combined
-``pop_next`` scan, the ``pop_batch`` drain) and the alternative backends
-behind the ``EventQueue`` protocol — calendar queue, ladder queue —
-must all behave exactly like the obviously correct structure they
-optimize: a list of events kept sorted by ``(time, priority, seq)``
-with cancelled entries skipped on pop.  A seeded random schedule of
-pushes, cancels, pops, bounded pops, batch pops, reinserts and peeks is
-driven through the backend and the model in lockstep; any divergence in
-returned events, batch contents, reported sizes or peeked times fails.
+Queue level: the event heap (tuple keys, lazy cancellation) and the two
+structures :mod:`repro.sim.queues` keeps for the hold-model probe —
+calendar queue, ladder queue — must all behave exactly like the
+obviously correct structure they optimize: a list of events kept sorted
+by ``(time, priority, seq)`` with cancelled entries skipped on pop.  A
+seeded random schedule of pushes, cancels, pops and peeks is driven
+through the queue and the model in lockstep; any divergence in returned
+events, reported sizes or peeked times fails.
 
-Two schedule shapes run against every backend: a spread schedule (times
+Two schedule shapes run against every queue: a spread schedule (times
 drawn from a wide window) and a heavy-ties schedule (times drawn from a
-handful of values, so long same-timestamp runs and batch splitting are
-constantly exercised).  Backend parameters are pushed to degenerate
-extremes (one-tick calendar days, a ladder bottom of one) to force the
-structural machinery — day turnover, rung splitting — rather than
-letting everything sit in one bucket.
+handful of values, so long same-timestamp runs are the norm).  Queue
+parameters are pushed to degenerate extremes (one-tick calendar days, a
+ladder bottom of one) to force the structural machinery — day turnover,
+rung splitting — rather than letting everything sit in one bucket.
 
 This guards the two historical bug classes in this structure: phantom
-live-counts from lazy cancellation (PR-1) and double-discard drift
-between ``peek_time`` and ``pop`` — and now also holds the pluggable
-backends to the heap's exact pop order, the hard contract of
-``docs/performance.md`` ("Choosing an event queue").
+live-counts from lazy cancellation and double-discard drift between
+``peek_time`` and ``pop``.
+
+Simulator level: the scheduling API (``post`` / ``call_at`` /
+``call_after`` / cancel / bounded ``run``) against a sorted-list model.
 """
 
 from __future__ import annotations
@@ -61,51 +60,12 @@ class ReferenceHeap:
         self._events.sort(key=lambda e: (e.time, e.priority, e.seq))
         return event
 
-    def reinsert(self, event: Event) -> None:
-        self._events.append(event)
-        self._events.sort(key=lambda e: (e.time, e.priority, e.seq))
-
     def pop(self) -> Optional[Event]:
         while self._events:
             event = self._events.pop(0)
             if not event.cancelled:
                 return event
         return None
-
-    def pop_next(self, until: Optional[int] = None) -> Optional[Event]:
-        while self._events:
-            event = self._events[0]
-            if event.cancelled:
-                self._events.pop(0)
-                continue
-            if until is not None and event.time > until:
-                return None
-            return self._events.pop(0)
-        return None
-
-    def pop_batch(self, until: Optional[int] = None,
-                  limit: Optional[int] = None) -> List[Event]:
-        batch: List[Event] = []
-        events = self._events
-        while events:
-            event = events[0]
-            if event.cancelled:
-                events.pop(0)
-                continue
-            if until is not None and event.time > until:
-                return batch
-            break
-        if not events:
-            return batch
-        run_time = events[0].time
-        while events and events[0].time == run_time:
-            if limit is not None and len(batch) >= limit:
-                break
-            event = events.pop(0)
-            if event.cancelled:
-                continue
-            batch.append(event)
-        return batch
 
     def peek_time(self) -> Optional[int]:
         while self._events and self._events[0].cancelled:
@@ -121,7 +81,7 @@ def key(event: Optional[Event]) -> Optional[Tuple[int, int, int]]:
     return (event.time, event.priority, event.seq)
 
 
-#: Every backend shape under test.  Degenerate parameters (one-tick
+#: Every queue shape under test.  Degenerate parameters (one-tick
 #: days, a one-event ladder bottom) force maximum structural churn.
 BACKENDS: List[Tuple[str, Callable[[], object]]] = [
     ("heap", EventHeap),
@@ -148,45 +108,20 @@ def _drive(queue, seed: int, tie_heavy: bool) -> None:
 
     for _ in range(600):
         op = rng.random()
-        if op < 0.40:
+        if op < 0.45:
             time = push_time()
             priority = rng.choice((0, 0, 0, 1, 5, -3))
             actual = queue.push(time, lambda: None, priority=priority)
             expected = model.push(time, priority=priority)
             assert key(actual) == key(expected)
             live_pairs.append((actual, expected))
-        elif op < 0.52 and live_pairs:
+        elif op < 0.60 and live_pairs:
             actual, expected = live_pairs.pop(
                 rng.randrange(len(live_pairs)))
             actual.cancel()
             expected.cancel()
-        elif op < 0.62:
+        elif op < 0.72:
             assert queue.peek_time() == model.peek_time()
-        elif op < 0.74:
-            until = (None if rng.random() < 0.3
-                     else clock + rng.randrange(0, 40))
-            actual = queue.pop_next(until)
-            expected = model.pop_next(until)
-            assert key(actual) == key(expected)
-            if actual is not None:
-                clock = max(clock, actual.time)
-        elif op < 0.90:
-            until = (None if rng.random() < 0.3
-                     else clock + rng.randrange(0, 40))
-            limit = None if rng.random() < 0.5 else rng.randrange(1, 4)
-            actual_batch = queue.pop_batch(until, limit=limit)
-            expected_batch = model.pop_batch(until, limit=limit)
-            assert ([key(e) for e in actual_batch]
-                    == [key(e) for e in expected_batch])
-            if actual_batch:
-                clock = max(clock, actual_batch[-1].time)
-                if rng.random() < 0.4:
-                    # The loop's same-tick fallback: put the batch tail
-                    # back with original keys.
-                    for a, e in zip(reversed(actual_batch),
-                                    reversed(expected_batch)):
-                        queue.reinsert(a)
-                        model.reinsert(e)
         else:
             actual = queue.pop()
             expected = model.pop()
@@ -197,8 +132,8 @@ def _drive(queue, seed: int, tie_heavy: bool) -> None:
 
     # Drain both completely; the full remaining order must agree.
     while True:
-        actual = queue.pop_next()
-        expected = model.pop_next()
+        actual = queue.pop()
+        expected = model.pop()
         assert key(actual) == key(expected)
         if actual is None:
             break
@@ -226,19 +161,12 @@ def test_push_rejects_negative_time() -> None:
             factory().push(-1, lambda: None)
 
 
-def test_make_queue_resolves_names_and_validates_params() -> None:
-    from repro.scenario.registry import RegistryError, UnknownNameError
-
+def test_make_queue_resolves_names() -> None:
     assert isinstance(make_queue("heap"), EventHeap)
-    assert isinstance(make_queue("calendar", {"day_width": 8}),
-                      CalendarQueue)
+    assert isinstance(make_queue("calendar"), CalendarQueue)
     assert isinstance(make_queue("ladder"), LadderQueue)
-    with pytest.raises(UnknownNameError, match="did you mean 'ladder'"):
+    with pytest.raises(KeyError):
         make_queue("lader")
-    with pytest.raises(RegistryError, match="day_width"):
-        make_queue("calendar", {"day_width": "wide"})
-    with pytest.raises(RegistryError, match="unknown key"):
-        make_queue("heap", {"day_width": 8})
 
 
 def test_cancelled_run_is_all_lazy_discard() -> None:
@@ -253,18 +181,16 @@ def test_cancelled_run_is_all_lazy_discard() -> None:
         assert len(queue) == 20
         assert queue.peek_time() is None  # the scan discards every entry
         assert len(queue) == 0
-        assert queue.pop_next() is None
         assert queue.pop() is None
 
 
 # -- Simulator-level model: post / call_at / call_after / cancel / run -------
 #
-# The queue-level model above holds the backends to one pop order.  This
+# The queue-level model above holds the queues to one pop order.  This
 # one holds the *scheduling API* to it: ``post`` entries carry no handle,
 # ``call_at`` / ``call_after`` entries do, and a run must dispatch both in
 # one ``(time, priority, seq)`` order with the same lazy-cancellation
-# accounting whichever backend (and therefore whichever loop:
-# ``_run_heap_fast`` or ``_run_generic``) executes it.
+# accounting.
 
 
 class _ModelHandle:
@@ -335,9 +261,6 @@ class ModelSimulator:
         return self.now
 
 
-SIM_BACKENDS = ("heap", "calendar", "ladder")
-
-
 def _drive_simulator(sim, seed: int) -> Tuple[list, list]:
     """Run one seeded script against ``sim`` (real or model).  Returns the
     dispatch log and a checkpoint after every top-level operation."""
@@ -394,33 +317,28 @@ def _drive_simulator(sim, seed: int) -> Tuple[list, list]:
     return log, checkpoints
 
 
-@pytest.mark.parametrize("backend", SIM_BACKENDS)
 @pytest.mark.parametrize("seed", range(12))
-def test_simulator_scheduling_matches_reference_model(backend: str,
-                                                      seed: int) -> None:
+def test_simulator_scheduling_matches_reference_model(seed: int) -> None:
     expected_log, expected_checkpoints = _drive_simulator(ModelSimulator(),
                                                           seed)
-    sim = Simulator(queue=make_queue(backend))
+    sim = Simulator()
     log, checkpoints = _drive_simulator(sim, seed)
     assert log == expected_log
     assert checkpoints == expected_checkpoints
     assert len(log) > 50 and sim.pending() == 0
 
 
-@pytest.mark.parametrize("backend", SIM_BACKENDS)
-def test_post_rejects_negative_delay(backend: str) -> None:
-    sim = Simulator(queue=make_queue(backend))
+def test_post_rejects_negative_delay() -> None:
+    sim = Simulator()
     with pytest.raises(SchedulingError):
         sim.post(-1, lambda: None)
     assert sim.pending() == 0
 
 
-@pytest.mark.parametrize("backend", SIM_BACKENDS)
-def test_cancelled_neighbours_of_posted_entries_count_exactly(
-        backend: str) -> None:
+def test_cancelled_neighbours_of_posted_entries_count_exactly() -> None:
     """A posted entry has no ``cancelled`` flag of its own; the scans that
     discard its cancelled neighbours must neither skip it nor miscount."""
-    sim = Simulator(queue=make_queue(backend))
+    sim = Simulator()
     order: List[str] = []
     early = sim.call_after(3, lambda: order.append("early"))
     sim.post(5, order.append, ("a",))
@@ -439,28 +357,23 @@ def test_cancelled_neighbours_of_posted_entries_count_exactly(
 
 
 def test_heap_pop_api_materialises_posted_entries() -> None:
-    """``pop`` / ``pop_next`` / ``pop_batch`` hand out :class:`Event`
-    objects for posted entries too, and ``reinsert`` keeps their key."""
+    """``pop`` hands out :class:`Event` objects for posted entries too,
+    keyed exactly as a pushed entry in the same place would be."""
     heap = EventHeap()
     seen: List[int] = []
     heap.post(4, seen.append, (1,))
     handle = heap.push(4, lambda: seen.append(2))
     heap.post(4, seen.append, (3,))
     heap.post(9, seen.append, (4,))
-    batch = heap.pop_batch()
-    assert [(e.time, e.priority, e.seq) for e in batch] \
-        == [(4, 0, 0), (4, 0, 1), (4, 0, 2)]
-    assert batch[1] is handle
-    assert len(heap) == 1
-    for event in reversed(batch):
-        heap.reinsert(event)
-    assert len(heap) == 4
-    first = heap.pop_next(until=4)
-    assert (first.time, first.priority, first.seq) == (4, 0, 0)
-    first.action(*first.args)
+    popped = []
     while True:
         event = heap.pop()
         if event is None:
             break
+        popped.append(event)
         event.action(*event.args)
+    assert [(e.time, e.priority, e.seq) for e in popped] \
+        == [(4, 0, 0), (4, 0, 1), (4, 0, 2), (9, 0, 3)]
+    assert popped[1] is handle
     assert seen == [1, 2, 3, 4]
+    assert len(heap) == 0

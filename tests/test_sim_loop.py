@@ -139,3 +139,190 @@ def test_deterministic_interleaving():
         return order
 
     assert run_once() == run_once() == ["a", "b", "c"]
+
+
+# -- run(until=, max_events=) boundaries -------------------------------------
+#
+# The dispatch loop drains one same-timestamp run at a time straight off
+# the heap; these pin the boundary rules it implements inline.
+
+
+def test_run_until_is_inclusive():
+    sim = Simulator()
+    seen = []
+    sim.call_at(10, lambda: seen.append(sim.now))
+    sim.run(until=10)
+    assert seen == [10]
+    assert sim.pending() == 0
+
+
+def test_run_until_leaves_event_one_tick_past_bound_pending():
+    sim = Simulator()
+    seen = []
+    sim.call_at(11, lambda: seen.append(sim.now))
+    sim.run(until=10)
+    assert seen == []
+    # The event was not consumed: it is still pending and still runs later.
+    assert sim.pending() == 1
+    assert sim.now == 10
+    sim.run(until=11)
+    assert seen == [11]
+
+
+def test_run_until_drains_every_event_at_the_bound_tick():
+    sim = Simulator()
+    seen = []
+    sim.call_at(10, lambda: seen.append("a"))
+    sim.call_at(10, lambda: seen.append("b"))
+    sim.call_at(12, lambda: seen.append("late"))
+    sim.run(until=10)
+    assert seen == ["a", "b"]
+    assert sim.pending() == 1
+    sim.run(until=12)
+    assert seen == ["a", "b", "late"]
+    assert sim.pending() == 0
+    sim.run(until=20)
+    assert seen == ["a", "b", "late"]
+
+
+def test_run_until_stops_a_same_tick_run_at_the_bound():
+    sim = Simulator()
+    seen = []
+    sim.call_at(10, lambda: seen.append("a"))
+    sim.call_at(10, lambda: seen.append("b"))
+    sim.run(until=10)
+    assert seen == ["a", "b"]
+    sim.call_at(11, lambda: seen.append("late"))
+    sim.run(until=10)
+    assert seen == ["a", "b"]
+    assert sim.pending() == 1
+
+
+def test_run_without_until_is_unbounded():
+    sim = Simulator()
+    seen = []
+    sim.call_at(10**9, lambda: seen.append(sim.now))
+    sim.run(until=None)
+    assert seen == [10**9]
+
+
+def test_run_until_orders_boundary_ties_by_priority_then_seq():
+    sim = Simulator()
+    order = []
+    sim.call_at(10, lambda: order.append("first"))
+    sim.call_at(10, lambda: order.append("second"))
+    sim.call_at(10, lambda: order.append("urgent"), priority=-1)
+    sim.run(until=10)
+    assert order == ["urgent", "first", "second"]
+    assert sim.pending() == 0
+
+
+def test_run_orders_same_tick_ties_by_priority_then_seq():
+    sim = Simulator()
+    order = []
+    sim.call_at(7, lambda: order.append("first"))
+    sim.call_at(7, lambda: order.append("urgent"), priority=-2)
+    sim.call_at(7, lambda: order.append("second"))
+    sim.run()
+    assert order == ["urgent", "first", "second"]
+    assert sim.events_executed == 3
+
+
+def test_run_until_discards_cancelled_head_beyond_bound():
+    """A cancelled head past the bound is lazily discarded (with
+    pending-count decrement) even though nothing runs — without the
+    discard, ``pending()`` would report an event that can never run."""
+    sim = Simulator()
+    sim.call_at(50, lambda: None).cancel()
+    assert sim.pending() == 1
+    sim.run(until=10)
+    assert sim.pending() == 0
+    assert sim.events_executed == 0
+
+
+def test_run_until_discards_cancelled_head_before_live_event_beyond_bound():
+    sim = Simulator()
+    seen = []
+    sim.call_at(3, lambda: seen.append("doomed")).cancel()
+    sim.call_at(20, lambda: seen.append("live"))
+    sim.run(until=10)
+    assert seen == []
+    assert sim.pending() == 1
+    sim.run()
+    assert seen == ["live"]
+
+
+def test_run_scans_through_cancelled_run_to_live_event():
+    sim = Simulator()
+    seen = []
+    for _ in range(4):
+        sim.call_at(5, lambda: seen.append("doomed")).cancel()
+    sim.call_at(5, lambda: seen.append("survivor"))
+    assert sim.pending() == 5
+    sim.run(until=5)
+    assert seen == ["survivor"]
+    assert sim.pending() == 0
+    assert sim.events_executed == 1
+
+
+def test_run_discards_cancelled_entries_with_accounting():
+    sim = Simulator()
+    seen = []
+    sim.call_at(5, lambda: seen.append("doomed")).cancel()
+    sim.call_at(5, lambda: seen.append("survivor"))
+    sim.call_at(50, lambda: seen.append("late")).cancel()
+    sim.run(until=10)
+    assert seen == ["survivor"]
+    assert sim.pending() == 0
+
+
+def test_run_skips_same_tick_neighbour_cancelled_mid_run():
+    sim = Simulator()
+    seen = []
+    third = None
+
+    def first():
+        seen.append("first")
+        third.cancel()
+
+    sim.call_at(5, first)
+    sim.call_at(5, lambda: seen.append("second"))
+    third = sim.call_at(5, lambda: seen.append("third"))
+    sim.run()
+    assert seen == ["first", "second"]
+    assert sim.pending() == 0
+    assert sim.events_executed == 2
+
+
+def test_max_events_splits_a_same_tick_run():
+    sim = Simulator()
+    seen = []
+    for index in range(5):
+        sim.post(4, seen.append, (index,))
+    sim.run(max_events=3)
+    assert seen == [0, 1, 2]
+    assert sim.now == 4
+    assert sim.pending() == 2
+    sim.run(max_events=3)
+    assert seen == [0, 1, 2, 3, 4]
+    assert sim.events_executed == 5
+
+
+def test_same_tick_push_from_an_action_takes_its_key_place():
+    """Work an action schedules at the current tick sorts against the
+    rest of that tick's run by ``(priority, seq)``: a priority-0 post
+    runs after the already scheduled neighbour, a negative priority runs
+    before it."""
+    sim = Simulator()
+    order = []
+
+    def head():
+        order.append("head")
+        sim.post(0, order.append, ("posted",))
+        sim.call_after(0, lambda: order.append("urgent"), priority=-1)
+
+    sim.call_at(10, head)
+    sim.call_at(10, lambda: order.append("neighbour"))
+    sim.run(until=10)
+    assert order == ["head", "urgent", "neighbour", "posted"]
+    assert sim.pending() == 0
