@@ -345,6 +345,7 @@ def cmd_scenario_validate(args: argparse.Namespace) -> int:
 
 def cmd_scenario_list(args: argparse.Namespace) -> int:
     from .faults.kinds import FAULT_REGISTRY
+    from .resilience.registry import SERVICE_REGISTRY
     from .scenario.checks import CHECK_REGISTRY
     from .scenario.registry import Registry
     from .scenario.shapes import SHAPE_REGISTRY
@@ -368,6 +369,7 @@ def cmd_scenario_list(args: argparse.Namespace) -> int:
     show("fault kinds (fault: kind: / sweep: kinds:)", FAULT_REGISTRY)
     show("machine shapes (machine: shape:)", SHAPE_REGISTRY)
     show("invariant checks (expect: invariants:)", CHECK_REGISTRY)
+    show("resilience services (services:)", SERVICE_REGISTRY)
     return 0
 
 
@@ -463,7 +465,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     scenario_validate.set_defaults(fn=cmd_scenario_validate)
     scenario_list = scenario_sub.add_parser(
         "list", help="list registered workload recipes, fault kinds, "
-                     "machine shapes and invariant checks")
+                     "machine shapes, invariant checks and resilience "
+                     "services")
     scenario_list.add_argument("--params", action="store_true",
                                help="show each entry's parameter schema")
     scenario_list.set_defaults(fn=cmd_scenario_list)

@@ -140,22 +140,13 @@ class ResilienceConfig:
     #: fault layer is active (bounds the false-positive scan so the
     #: event heap still drains).
     heartbeat_horizon: Ticks = 240_000
-    #: Circuit breaker around the kernel's user-channel send path.
-    breaker: bool = False
-    #: Consecutive delivery failures to one cluster before it opens.
-    breaker_failure_threshold: int = 3
-    #: Ticks an open breaker waits before letting a probe through.
-    breaker_cooldown: Ticks = 30_000
-    #: Open/half-open cycles allowed before giving up on a destination.
-    breaker_max_probes: int = 8
     #: Bulkhead: partition the bounded server inbox by client class
     #: (the client's home cluster modulo ``bulkhead_partitions``), each
     #: class getting its own ``server_inbox_limit`` quota.
     bulkhead: bool = False
     bulkhead_partitions: int = 2
-    #: Dead-letter queue capturing shed inbox arrivals, garbled bus
-    #: transmissions and breaker-rejected sends instead of dropping
-    #: them silently.
+    #: Dead-letter queue capturing shed inbox arrivals instead of
+    #: dropping them silently, and redelivering them.
     dlq: bool = False
     #: Records retained per cluster (oldest are evicted permanently).
     dlq_limit: int = 64
@@ -172,8 +163,8 @@ class ResilienceConfig:
 
     @property
     def enabled(self) -> bool:
-        return (self.heartbeat or self.breaker or self.bulkhead
-                or self.dlq or self.idempotent)
+        return (self.heartbeat or self.bulkhead or self.dlq
+                or self.idempotent)
 
     def validate(self) -> "ResilienceConfig":
         if self.heartbeat_interval < 1:
@@ -182,12 +173,6 @@ class ResilienceConfig:
             raise ConfigError("heartbeat_miss_threshold must be >= 1")
         if self.heartbeat_horizon < 1:
             raise ConfigError("heartbeat_horizon must be >= 1")
-        if self.breaker_failure_threshold < 1:
-            raise ConfigError("breaker_failure_threshold must be >= 1")
-        if self.breaker_cooldown < 1:
-            raise ConfigError("breaker_cooldown must be >= 1")
-        if self.breaker_max_probes < 1:
-            raise ConfigError("breaker_max_probes must be >= 1")
         if self.bulkhead_partitions < 1:
             raise ConfigError("bulkhead_partitions must be >= 1")
         if self.dlq_limit < 1:

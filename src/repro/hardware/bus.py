@@ -41,7 +41,7 @@ from ..messages.message import Message
 from ..metrics import MetricSet
 from ..sim import Simulator, TraceLog
 from ..types import ClusterId
-from .buslink import ACK_LOSS, DualBusFaultLayer, GARBLE, OK
+from .buslink import ACK_LOSS, DualBusFaultLayer, OK
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .cluster import Cluster
@@ -94,9 +94,6 @@ class InterclusterBus:
         #: Installed by :meth:`configure_faults`; ``None`` keeps the
         #: original perfect-channel fast path byte-identical.
         self._faults: Optional[DualBusFaultLayer] = None
-        #: Installed by :meth:`attach_observer` (the resilience layer's
-        #: delivery-outcome feed); ``None`` costs nothing per delivery.
-        self._observer = None
 
     def attach(self, cluster: "Cluster") -> None:
         """Register a cluster on the bus (done once at machine build)."""
@@ -107,14 +104,6 @@ class InterclusterBus:
         config with both rates at zero leaves the perfect channel."""
         self._faults = (DualBusFaultLayer(config) if config is not None
                         and config.enabled else None)
-
-    def attach_observer(self, observer) -> None:
-        """Install a delivery-outcome observer (``on_delivered`` /
-        ``on_dead`` / ``on_garble``).  Used by the resilience layer to
-        feed circuit breakers and the dead-letter queue; installed
-        post-construction like the fault layer so a machine without it
-        keeps the unobserved fast path."""
-        self._observer = observer
 
     def close(self) -> None:
         """Forget the attached clusters, each of which holds this bus
@@ -237,18 +226,13 @@ class InterclusterBus:
             legs.setdefault(delivery.cluster_id, []).append(delivery)
         clusters = self._clusters
         counters = self._mcounters
-        observer = self._observer
         for cluster_id, cluster_legs in legs.items():
             cluster = clusters.get(cluster_id)
             if cluster is None or not cluster.alive:
                 counters["bus.deliveries_to_dead"] += 1
-                if observer is not None:
-                    observer.on_dead(message, cluster_id)
                 continue
             cluster.receive(message, cluster_legs)
             counters["bus.deliveries"] += 1
-            if observer is not None:
-                observer.on_delivered(message, cluster_id)
 
     # ------------------------------------------------------------------
     # degraded mode: the dual-bus transient-fault protocol
@@ -299,7 +283,6 @@ class InterclusterBus:
         if self._current is not transmission:
             # Aborted mid-flight by a sender crash (stale completion).
             return
-        message = transmission.message
         src_cluster = self._clusters[transmission.src]
         if not src_cluster.alive:
             self._abort_faulted(transmission)
@@ -318,10 +301,6 @@ class InterclusterBus:
         # loss / ack_loss / garble: the sender sees no acknowledgement.
         faults.record_failure(link)
         self._metrics.incr(f"bus.faults.{outcome}")
-        if outcome is GARBLE and self._observer is not None:
-            # A receiver checksum rejected the attempt; the retry chain
-            # will deliver a good copy, but the DLQ records the event.
-            self._observer.on_garble(message, transmission.src)
         if self._trace.active:
             self._trace.emit(self._sim.now, "bus.fault", kind=outcome,
                              link=link.link_id, src=transmission.src,
@@ -368,8 +347,6 @@ class InterclusterBus:
             cluster = self._clusters.get(cluster_id)
             if cluster is None or not cluster.alive:
                 self._metrics.incr("bus.deliveries_to_dead")
-                if self._observer is not None:
-                    self._observer.on_dead(message, cluster_id)
                 continue
             if faults.is_duplicate(cluster_id, transmission.src,
                                    transmission.seqno):
@@ -381,5 +358,3 @@ class InterclusterBus:
                 continue
             cluster.receive(message, cluster_legs)
             self._metrics.incr("bus.deliveries")
-            if self._observer is not None:
-                self._observer.on_delivered(message, cluster_id)

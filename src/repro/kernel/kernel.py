@@ -417,12 +417,6 @@ class ClusterKernel:
             self.trace.emit(self.sim.now, "msg.peer_gone", pid=pcb.pid,
                             chan=entry.channel_id)
             return True
-        if self.resilience is not None \
-                and not self.resilience.allow_send(self, pcb, entry,
-                                                   payload, size, kind):
-            # An open circuit breaker consumed the send (diverted to the
-            # dead-letter queue or dropped with accounting).
-            return True
         message = self._build_channel_message(pcb, entry, payload, size, kind)
         entry.changed_since_sync = True
         self.cluster.send(message)

@@ -1,6 +1,6 @@
 """Resilience service layer: registry-driven in-sim services
-(heartbeat detection, circuit breaker, bulkhead, dead-letter queue,
-idempotent receiver) layered over the kernel, server and bus paths.
+(heartbeat detection, bulkhead, dead-letter queue, idempotent receiver)
+layered over the kernel and server paths.
 
 Everything here is off by default — :func:`install_services` returns
 ``None`` unless :class:`~repro.config.ResilienceConfig` enables at least
@@ -8,7 +8,6 @@ one service, and a machine without the layer behaves byte-identically to
 one built before this package existed.
 """
 
-from .breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreakerLayer
 from .bulkhead import BulkheadLayer
 from .dlq import DeadLetter, DeadLetterLayer
 from .heartbeat import HeartbeatMonitor
@@ -19,11 +18,7 @@ from .registry import (SERVICE_REGISTRY, ServiceSpec, apply_services,
                        service_names)
 
 __all__ = [
-    "CLOSED",
-    "HALF_OPEN",
-    "OPEN",
     "BulkheadLayer",
-    "CircuitBreakerLayer",
     "DeadLetter",
     "DeadLetterLayer",
     "HeartbeatMonitor",

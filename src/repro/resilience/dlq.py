@@ -1,24 +1,12 @@
-"""Dead-letter queue for shed, garbled and breaker-rejected messages
-(the `dlq` service).
+"""Dead-letter queue for shed inbox arrivals (the `dlq` service).
 
-Three capture sources:
-
-* **shed** — arrivals the bounded server inbox dropped under the
-  ``"shed"`` policy.  These are *redelivered*: after ``dlq_retry_after``
-  ticks the record re-enters the ordinary primary-delivery path at the
-  destination's **current** location (the owning process may have been
-  promoted elsewhere since), turning the lossy shed knob into bounded
-  backpressure.  A record re-shed ``dlq_max_retries`` times is declared
-  dead (``resilience.dlq.dead``).
-* **garbled** — transmissions the receiver's checksum rejected on a
-  degraded bus.  Diagnostic only: the bus retry chain delivers the good
-  copy, so redelivering the garbled one would double-deliver.
-* **breaker** — sends rejected while a circuit breaker was open.  These
-  are redelivered by *re-sending*: the delivery legs are rebuilt from
-  the sender's current routing entry (exactly as
-  ``release_held_messages`` re-addresses held messages), so a message
-  rejected during the pre-detection window reaches the promoted
-  destination once routes are repaired.
+An arrival the bounded server inbox dropped under the ``"shed"`` policy
+is captured here and *redelivered*: after ``dlq_retry_after`` ticks the
+record re-enters the ordinary primary-delivery path at the destination's
+**current** location (the owning process may have been promoted
+elsewhere since), turning the lossy shed knob into bounded
+backpressure.  A record re-shed ``dlq_max_retries`` times is declared
+dead (``resilience.dlq.dead``).
 
 Capacity is ``dlq_limit`` records per capturing cluster; beyond it the
 oldest record is evicted permanently (``resilience.dlq.evicted``).
@@ -30,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..config import ResilienceConfig
-from ..messages.message import Delivery, DeliveryRole, Message
+from ..messages.message import Delivery, Message
 from ..types import ClusterId, Ticks
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -40,14 +28,11 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 
 @dataclass
 class DeadLetter:
-    """One captured message plus enough context to retry it."""
+    """One shed arrival plus enough context to retry it."""
 
     message: Message
     cluster_id: ClusterId          #: cluster that captured it
-    reason: str                    #: "shed" | "garbled" | "breaker"
-    delivery: Optional[Delivery] = None   #: the refused leg (shed only)
-    #: destination cluster at capture time (breaker letters only).
-    dst_cluster: Optional[ClusterId] = None
+    delivery: Delivery             #: the refused PRIMARY_DEST leg
     retries: int = 0
     enqueued_at: Ticks = 0
     dead: bool = False
@@ -81,8 +66,7 @@ class DeadLetterLayer:
         machine.metrics.incr("resilience.dlq.enqueued")
         machine.metrics.record_hist("resilience.dlq.depth", len(bucket))
         machine.trace.emit(machine.sim.now, "resilience.dlq.capture",
-                           cluster=record.cluster_id,
-                           reason=record.reason,
+                           cluster=record.cluster_id, reason="shed",
                            msg=record.message.describe())
         if len(bucket) > self.limit:
             evicted = bucket.pop(0)
@@ -99,37 +83,9 @@ class DeadLetterLayer:
             return
         record = self._enqueue(DeadLetter(
             message=message, cluster_id=kernel.cluster_id,
-            reason="shed", delivery=delivery))
+            delivery=delivery))
         if self.max_retries > 0:
             self._schedule_retry(record)
-
-    def capture_garbled(self, message: Message,
-                        src: Optional[ClusterId]) -> None:
-        """A receiver checksum rejected this transmission attempt."""
-        self.machine.metrics.incr("resilience.dlq.garbled")
-        self._enqueue(DeadLetter(
-            message=message,
-            cluster_id=src if src is not None else 0,
-            reason="garbled"))
-
-    def capture_rejected_send(self, kernel: "ClusterKernel",
-                              message: Message,
-                              dst_cluster: Optional[ClusterId] = None
-                              ) -> None:
-        """An open circuit breaker rejected this send."""
-        record = self._enqueue(DeadLetter(
-            message=message, cluster_id=kernel.cluster_id,
-            reason="breaker", dst_cluster=dst_cluster))
-        if self.max_retries > 0:
-            self._schedule_retry(record)
-
-    def has_queued_sends(self, cluster_id: ClusterId,
-                         dst_cluster: ClusterId) -> bool:
-        """Any live breaker letter captured at ``cluster_id`` still
-        awaiting re-send toward ``dst_cluster``?"""
-        return any(record.reason == "breaker" and not record.dead
-                   and record.dst_cluster == dst_cluster
-                   for record in self.records.get(cluster_id, []))
 
     # -- drain --------------------------------------------------------------
 
@@ -141,8 +97,7 @@ class DeadLetterLayer:
         self.machine.metrics.incr("resilience.dlq.dead")
         self.machine.trace.emit(self.machine.sim.now,
                                 "resilience.dlq.dead",
-                                cluster=record.cluster_id,
-                                reason=record.reason,
+                                cluster=record.cluster_id, reason="shed",
                                 msg=record.message.describe())
 
     def _retry_later_or_die(self, record: DeadLetter) -> None:
@@ -171,22 +126,13 @@ class DeadLetterLayer:
         if record.dead or record not in bucket:
             return
         for head in list(bucket):
-            if head.dead or head.reason == "garbled":
+            if head.dead:
                 continue
-            if not self._attempt(head):
+            if not self._redeliver(head):
                 break
         if record in self.records.get(record.cluster_id, []) \
                 and not record.dead:
             self._retry_later_or_die(record)
-
-    def _attempt(self, record: DeadLetter) -> bool:
-        """One redelivery attempt; True drops the record from its
-        bucket, False leaves it queued (the caller owns rescheduling)."""
-        if record.reason == "shed":
-            return self._retry_shed(record)
-        if record.reason == "breaker":
-            return self._retry_send(record)
-        return False
 
     def _locate_pid(self, pid) -> Optional["ClusterKernel"]:
         """The alive kernel currently hosting ``pid`` (primaries and
@@ -197,8 +143,10 @@ class DeadLetterLayer:
                 return candidate
         return None
 
-    def _retry_shed(self, record: DeadLetter) -> bool:
-        """Re-offer a shed arrival to its destination's current inbox."""
+    def _redeliver(self, record: DeadLetter) -> bool:
+        """One redelivery attempt: re-offer a shed arrival to its
+        destination's current inbox.  True drops the record from its
+        bucket, False leaves it queued (the caller owns rescheduling)."""
         machine = self.machine
         kernel = self._locate_pid(record.delivery.pid)
         if kernel is None:
@@ -216,53 +164,4 @@ class DeadLetterLayer:
         machine.trace.emit(machine.sim.now, "resilience.dlq.redeliver",
                            cluster=kernel.cluster_id, reason="shed",
                            msg=record.message.describe())
-        return True
-
-    def _retry_send(self, record: DeadLetter) -> bool:
-        """Re-send a breaker-rejected message with delivery legs rebuilt
-        from the sender's current routing entry — or, once the sender
-        has exited and its entry is gone, from the destination pid's
-        current location (a sender's exit must not strand its letters)."""
-        machine = self.machine
-        kernel = machine.kernels[record.cluster_id]
-        if not kernel.alive:
-            return False
-        message = record.message
-        entry = None
-        if message.channel_id is not None and message.src_pid is not None:
-            entry = kernel.routing.get(message.channel_id,
-                                       message.src_pid)
-        if entry is not None and entry.peer_cluster is not None \
-                and machine.clusters[entry.peer_cluster].alive:
-            dst_cluster, dst_pid = entry.peer_cluster, entry.peer_pid
-            dst_backup = entry.peer_backup_cluster
-        else:
-            home = self._locate_pid(message.dst_pid)
-            if home is None:
-                return False
-            dst_cluster, dst_pid = home.cluster_id, message.dst_pid
-            pcb = home.pcbs.get(dst_pid)
-            dst_backup = pcb.backup_cluster if pcb is not None else None
-        deliveries = [Delivery(dst_cluster, DeliveryRole.PRIMARY_DEST,
-                               dst_pid, message.channel_id)]
-        if dst_backup is not None:
-            deliveries.append(Delivery(dst_backup,
-                                       DeliveryRole.DEST_BACKUP,
-                                       dst_pid, message.channel_id))
-        for leg in message.deliveries:
-            if leg.role is DeliveryRole.SENDER_BACKUP:
-                deliveries.append(leg)
-        kernel.cluster.send(Message(
-            msg_id=message.msg_id, kind=message.kind,
-            src_pid=message.src_pid, dst_pid=dst_pid,
-            channel_id=message.channel_id, payload=message.payload,
-            size_bytes=message.size_bytes, deliveries=tuple(deliveries),
-            src_cluster=message.src_cluster,
-            src_backup_cluster=message.src_backup_cluster,
-            nondet_events=message.nondet_events))
-        self._drop(record)
-        machine.metrics.incr("resilience.dlq.redelivered")
-        machine.trace.emit(machine.sim.now, "resilience.dlq.redeliver",
-                           cluster=record.cluster_id, reason="breaker",
-                           msg=message.describe())
         return True

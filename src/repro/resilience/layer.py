@@ -8,24 +8,24 @@ machine's traces stay byte-identical to a build without this package
 (the same post-construction-install idiom as the bus fault layer).
 
 The coordinator owns one instance per enabled service and adapts them to
-the three integration surfaces:
+the two integration surfaces:
 
 * **kernel hooks** — duplicate check / inbox admission / shed capture in
-  ``_deliver_primary``, the breaker gate in ``send_user_message``, and
-  heartbeat probe/ack traffic on the ``CRASH_NOTICE`` kernel leg;
-* **bus observer** — delivery outcomes feeding the circuit breaker and
-  garbled attempts feeding the dead-letter queue;
+  ``_deliver_primary``, and heartbeat probe/ack traffic on the
+  ``CRASH_NOTICE`` kernel leg;
 * **machine lifecycle** — crash/restore notifications driving the
   heartbeat monitor and re-attaching restored kernels.
+
+No hook sits on the send path: every user send takes the three-way
+delivery route of section 5.1, whatever services are on.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..messages.message import Delivery, Message, MessageKind
+from ..messages.message import Delivery, Message
 from ..types import ClusterId
-from .breaker import HALF_OPEN, CircuitBreakerLayer
 from .bulkhead import BulkheadLayer
 from .dlq import DeadLetterLayer
 from .heartbeat import HeartbeatMonitor
@@ -34,7 +34,6 @@ from .idempotent import IdempotentReceiver
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from ..core.machine import Machine
     from ..kernel.kernel import ClusterKernel
-    from ..kernel.pcb import ProcessControlBlock
     from ..messages.routing import RoutingEntry
 
 
@@ -47,8 +46,6 @@ class ResilienceServices:
         self.config = config
         self.dlq = (DeadLetterLayer(machine, config)
                     if config.dlq else None)
-        self.breaker = (CircuitBreakerLayer(machine, config)
-                        if config.breaker else None)
         self.bulkhead = (BulkheadLayer(machine, config)
                          if config.bulkhead else None)
         self.idempotent = (IdempotentReceiver(machine, config)
@@ -57,8 +54,6 @@ class ResilienceServices:
                           if config.heartbeat else None)
         for kernel in machine.kernels:
             kernel.resilience = self
-        if self.breaker is not None or self.dlq is not None:
-            machine.bus.attach_observer(_BusObserver(self))
 
     # -- machine lifecycle --------------------------------------------------
 
@@ -94,42 +89,6 @@ class ResilienceServices:
         if self.dlq is not None:
             self.dlq.capture_shed(kernel, message, delivery)
 
-    # -- kernel send hook ---------------------------------------------------
-
-    def allow_send(self, kernel: "ClusterKernel",
-                   pcb: "ProcessControlBlock", entry: "RoutingEntry",
-                   payload: Any, size: Optional[int],
-                   kind: MessageKind) -> bool:
-        """The circuit-breaker gate on ``send_user_message``.  ``False``
-        means the send was consumed here (diverted or dropped)."""
-        if self.breaker is None:
-            return True
-        src, dst = kernel.cluster_id, entry.peer_cluster
-        if self.breaker.allows(src, dst):
-            # A half-open breaker normally lets a fresh send probe the
-            # path — but not while diverted letters are still queued
-            # for it: the fresh send would overtake them (and its
-            # dest-backup leg would replay ahead of the drain).  The
-            # DLQ's own timed re-send is the probe instead; its bus
-            # outcome feeds this breaker exactly like any send.
-            if not (self.dlq is not None and dst is not None
-                    and self.breaker.state_of(src, dst) == HALF_OPEN
-                    and self.dlq.has_queued_sends(src, dst)):
-                return True
-        machine = self.machine
-        machine.metrics.incr("resilience.breaker.rejections")
-        machine.trace.emit(machine.sim.now, "resilience.breaker.reject",
-                           pid=pcb.pid, chan=entry.channel_id,
-                           dst=entry.peer_cluster)
-        if self.dlq is not None:
-            message = kernel._build_channel_message(pcb, entry, payload,
-                                                    size, kind)
-            self.dlq.capture_rejected_send(kernel, message,
-                                           dst_cluster=dst)
-        else:
-            machine.metrics.incr("resilience.breaker.dropped")
-        return False
-
     # -- heartbeat probe/ack traffic ----------------------------------------
 
     def on_kernel_notice(self, kernel: "ClusterKernel",
@@ -138,31 +97,6 @@ class ResilienceServices:
         if self.heartbeat is not None and isinstance(payload, dict) \
                 and str(payload.get("op", "")).startswith("hb_"):
             self.heartbeat.on_notice(kernel, payload)
-
-
-class _BusObserver:
-    """Adapter handed to the bus: delivery outcomes and garbled
-    attempts, attributed per addressed cluster."""
-
-    def __init__(self, services: ResilienceServices) -> None:
-        self._services = services
-
-    def on_delivered(self, message: Message,
-                     cluster_id: ClusterId) -> None:
-        breaker = self._services.breaker
-        if breaker is not None:
-            breaker.record_success(message.src_cluster, cluster_id)
-
-    def on_dead(self, message: Message, cluster_id: ClusterId) -> None:
-        breaker = self._services.breaker
-        if breaker is not None:
-            breaker.record_failure(message.src_cluster, cluster_id)
-
-    def on_garble(self, message: Message,
-                  src: Optional[ClusterId]) -> None:
-        dlq = self._services.dlq
-        if dlq is not None:
-            dlq.capture_garbled(message, src)
 
 
 def install_services(machine: "Machine"

@@ -1,7 +1,7 @@
 """The resilience-service registry: named in-sim services scenarios toggle.
 
 Each entry describes one service of the resilience layer
-(:mod:`repro.resilience.services`): the :class:`~repro.config.ResilienceConfig`
+(:mod:`repro.resilience.layer`): the :class:`~repro.config.ResilienceConfig`
 flag that enables it, the tunable knobs it exposes to the scenario DSL's
 ``services:`` block, and a one-line description the generated
 ``docs/resilience.md`` table is pinned to.  The registry reuses the same
@@ -69,7 +69,7 @@ def apply_services(config: ResilienceConfig,
 
 
 # ----------------------------------------------------------------------
-# the five built-in services
+# the four built-in services
 # ----------------------------------------------------------------------
 
 _DEFAULTS = ResilienceConfig()
@@ -105,29 +105,6 @@ register_service(
 
 register_service(
     ServiceSpec(
-        name="breaker", flag="breaker",
-        knobs={"failure_threshold": "breaker_failure_threshold",
-               "cooldown": "breaker_cooldown",
-               "max_probes": "breaker_max_probes"}),
-    EntryMetadata(
-        description="circuit breaker on the user-channel send path: "
-                    "consecutive delivery failures to one cluster open "
-                    "it, sends then divert to the dead-letter queue (or "
-                    "drop) until a cooldown probe closes it",
-        params={
-            "failure_threshold": _knob("breaker_failure_threshold",
-                                       "consecutive failures before the "
-                                       "breaker opens"),
-            "cooldown": _knob("breaker_cooldown",
-                              "ticks an open breaker waits before a "
-                              "half-open probe"),
-            "max_probes": _knob("breaker_max_probes",
-                                "open/half-open cycles before the "
-                                "destination is abandoned"),
-        }))
-
-register_service(
-    ServiceSpec(
         name="bulkhead", flag="bulkhead",
         knobs={"partitions": "bulkhead_partitions"}),
     EntryMetadata(
@@ -146,10 +123,9 @@ register_service(
                "retry_after": "dlq_retry_after",
                "max_retries": "dlq_max_retries"}),
     EntryMetadata(
-        description="dead-letter queue capturing shed inbox arrivals, "
-                    "garbled transmissions and breaker-rejected sends; "
-                    "shed records are drained back into the inbox with "
-                    "bounded retries",
+        description="dead-letter queue capturing shed inbox arrivals "
+                    "and draining them back into the inbox with bounded "
+                    "retries",
         params={
             "limit": _knob("dlq_limit", "records retained per cluster"),
             "retry_after": _knob("dlq_retry_after",

@@ -78,8 +78,7 @@ def _degraded_bus() -> Machine:
 def _every_service() -> Machine:
     config = MachineConfig(n_clusters=3, server_inbox_limit=4)
     config.resilience = ResilienceConfig(
-        heartbeat=True, breaker=True, bulkhead=True, dlq=True,
-        idempotent=True)
+        heartbeat=True, bulkhead=True, dlq=True, idempotent=True)
     config.bus_faults = BusFaultConfig(loss_rate=0.05, seed=5)
     machine = Machine(config)
     build_bank_workload(machine, n_clients=3, txns_per_client=6)

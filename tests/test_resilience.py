@@ -9,8 +9,8 @@ Three layers of coverage:
   same idempotent crash handling (no double promotion whichever wins),
   bus-loss false positives are refuted without promoting anyone, and
   the idempotent guard suppresses duplicate replays after failover;
-* **service units** — breaker state machine, bulkhead partitioning,
-  DLQ eviction/death, registry validation and the docs drift gate.
+* **service units** — bulkhead partitioning, DLQ eviction/death,
+  registry validation and the docs drift gate.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.config import BusFaultConfig, ConfigError, ResilienceConfig
 from repro.faults.campaign import run_campaign
 from repro.messages.message import (Delivery, DeliveryRole, Message,
                                     MessageKind)
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN
 from repro.resilience.registry import (SERVICE_REGISTRY, apply_services,
                                        resilience_services_markdown,
                                        service_names)
@@ -55,9 +54,9 @@ def resilient_machine(n_clusters=3, trace=False, bus=None, services=None,
 # registry and docs drift gate
 # ----------------------------------------------------------------------
 
-def test_registry_lists_the_five_services():
-    assert tuple(service_names()) == ("heartbeat", "breaker",
-                                      "bulkhead", "dlq", "idempotent")
+def test_registry_lists_the_four_services():
+    assert tuple(service_names()) == ("heartbeat", "bulkhead", "dlq",
+                                      "idempotent")
 
 
 def test_docs_table_matches_registry():
@@ -258,70 +257,6 @@ def _run_example(name, extra_services=None):
 
 
 # ----------------------------------------------------------------------
-# circuit breaker state machine (unit)
-# ----------------------------------------------------------------------
-
-def _breaker_machine(**knobs):
-    services = {"breaker": True}
-    services.update(knobs)
-    machine = resilient_machine(services=services)
-    return machine, machine.resilience.breaker
-
-
-def test_breaker_opens_after_threshold_and_recovers():
-    machine, layer = _breaker_machine(breaker_failure_threshold=3,
-                                      breaker_cooldown=10_000)
-    for _ in range(2):
-        layer.record_failure(0, 1)
-    assert layer.state_of(0, 1) == CLOSED and layer.allows(0, 1)
-    layer.record_failure(0, 1)
-    assert layer.state_of(0, 1) == OPEN and not layer.allows(0, 1)
-    assert machine.metrics.counter("resilience.breaker.opened") == 1
-    # The cooldown event half-opens it; a delivered probe closes it.
-    machine.run_until_idle()
-    assert layer.state_of(0, 1) == HALF_OPEN and layer.allows(0, 1)
-    layer.record_success(0, 1)
-    assert layer.state_of(0, 1) == CLOSED
-    assert machine.metrics.counter("resilience.breaker.closed") == 1
-
-
-def test_breaker_success_resets_failure_streak():
-    machine, layer = _breaker_machine(breaker_failure_threshold=3)
-    layer.record_failure(0, 1)
-    layer.record_failure(0, 1)
-    layer.record_success(0, 1)
-    layer.record_failure(0, 1)
-    layer.record_failure(0, 1)
-    assert layer.state_of(0, 1) == CLOSED
-    assert machine.metrics.counter("resilience.breaker.opened") == 0
-
-
-def test_breaker_abandons_after_probe_budget():
-    machine, layer = _breaker_machine(breaker_failure_threshold=1,
-                                      breaker_cooldown=5_000,
-                                      breaker_max_probes=2)
-    for cycle in range(2):
-        layer.record_failure(0, 1)            # (re)open
-        machine.run_until_idle()              # cooldown -> half-open
-        assert layer.state_of(0, 1) == HALF_OPEN
-        layer.record_failure(0, 1)            # failed probe
-    assert not layer.allows(0, 1)
-    assert machine.metrics.counter("resilience.breaker.abandoned") == 1
-    # Abandoned is terminal: neither evidence kind revives the pair.
-    layer.record_success(0, 1)
-    layer.record_failure(0, 1)
-    assert not layer.allows(0, 1)
-
-
-def test_breaker_is_per_destination_pair():
-    _, layer = _breaker_machine(breaker_failure_threshold=1)
-    layer.record_failure(0, 1)
-    assert not layer.allows(0, 1)
-    assert layer.allows(0, 2) and layer.allows(2, 1)
-    assert layer.allows(0, None)   # local sends are never gated
-
-
-# ----------------------------------------------------------------------
 # bulkhead partitioning (unit)
 # ----------------------------------------------------------------------
 
@@ -342,33 +277,37 @@ def test_bulkhead_partition_is_home_cluster_modulo():
 # dead-letter queue capacity and death (unit)
 # ----------------------------------------------------------------------
 
-def _letter(msg_id, dst_pid=999):
-    return Message(msg_id=msg_id, kind=MessageKind.DATA, src_pid=1,
-                   dst_pid=dst_pid, channel_id=None, payload=None,
-                   size_bytes=16, deliveries=(), src_cluster=0)
+def _shed(dlq, kernel, msg_id, dst_pid=999):
+    """Hand ``dlq`` a shed arrival for ``dst_pid`` at ``kernel``."""
+    delivery = Delivery(kernel.cluster_id, DeliveryRole.PRIMARY_DEST,
+                        dst_pid, None)
+    message = Message(msg_id=msg_id, kind=MessageKind.DATA, src_pid=1,
+                      dst_pid=dst_pid, channel_id=None, payload=None,
+                      size_bytes=16, deliveries=(delivery,),
+                      src_cluster=0)
+    dlq.capture_shed(kernel, message, delivery)
 
 
 def test_dlq_evicts_oldest_beyond_limit():
     machine = resilient_machine(services={"dlq": True, "dlq_limit": 2})
     dlq = machine.resilience.dlq
     for msg_id in range(3):
-        dlq.capture_garbled(_letter(msg_id), src=0)
+        _shed(dlq, machine.kernels[0], msg_id)
     assert dlq.depth(0) == 2
     assert machine.metrics.counter("resilience.dlq.evicted") == 1
-    assert machine.metrics.counter("resilience.dlq.garbled") == 3
+    assert machine.metrics.counter("resilience.dlq.enqueued") == 3
     # The survivors are the two youngest, in arrival order.
     assert [r.message.msg_id for r in dlq.records[0]] == [1, 2]
 
 
-def test_dlq_breaker_letter_dies_after_retry_budget():
+def test_dlq_shed_letter_dies_after_retry_budget():
     """A letter whose destination pid never exists anywhere exhausts
     its retries and is declared dead (not silently retried forever)."""
     machine = resilient_machine(services={"dlq": True,
                                           "dlq_retry_after": 1_000,
                                           "dlq_max_retries": 2})
     dlq = machine.resilience.dlq
-    dlq.capture_rejected_send(machine.kernels[0], _letter(7),
-                              dst_cluster=1)
+    _shed(dlq, machine.kernels[0], 7)
     machine.run_until_idle()
     assert machine.metrics.counter("resilience.dlq.dead") == 1
     assert machine.metrics.counter("resilience.dlq.redelivered") == 0
@@ -379,8 +318,7 @@ def test_dlq_zero_retries_means_capture_only():
     machine = resilient_machine(services={"dlq": True,
                                           "dlq_max_retries": 0})
     dlq = machine.resilience.dlq
-    dlq.capture_rejected_send(machine.kernels[0], _letter(7),
-                              dst_cluster=1)
+    _shed(dlq, machine.kernels[0], 7)
     machine.run_until_idle()
     assert machine.metrics.counter("resilience.dlq.enqueued") == 1
     assert machine.metrics.counter("resilience.dlq.dead") == 0
@@ -397,7 +335,7 @@ def test_apply_services_sets_flags_and_knobs():
         "dlq": {},
     })
     assert config.heartbeat and config.dlq
-    assert not (config.breaker or config.bulkhead or config.idempotent)
+    assert not (config.bulkhead or config.idempotent)
     assert config.heartbeat_interval == 4_000
     assert config.heartbeat_miss_threshold == 2
     assert config.dlq_retry_after == ResilienceConfig().dlq_retry_after
@@ -420,14 +358,14 @@ def test_scenario_services_block_round_trips():
         "scenario": "svc",
         "workload": {"recipe": "tty", "params": {"writers": 1,
                                                  "lines": 2}},
-        "services": {"breaker": {"failure_threshold": 5},
+        "services": {"dlq": {"limit": 5},
                      "idempotent": {}},
     }
     compiled = compile_scenario(doc, source="unit")
     # Defaults are filled in for every knob of every named service.
-    assert compiled.services["breaker"]["failure_threshold"] == 5
-    assert compiled.services["breaker"]["cooldown"] \
-        == ResilienceConfig().breaker_cooldown
+    assert compiled.services["dlq"]["limit"] == 5
+    assert compiled.services["dlq"]["retry_after"] \
+        == ResilienceConfig().dlq_retry_after
     assert compiled.services["idempotent"]["window"] \
         == ResilienceConfig().idempotent_window
     reparsed = compile_scenario(
@@ -441,5 +379,5 @@ def test_scenario_services_reject_unknown_knob():
         compile_scenario({
             "scenario": "svc",
             "workload": {"recipe": "tty", "params": {}},
-            "services": {"breaker": {"treshold": 5}},
+            "services": {"dlq": {"limt": 5}},
         })

@@ -323,18 +323,44 @@ def test_runner_turns_schema_errors_into_failed_outcomes(tmp_path):
 
 
 def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
-    """The simulator has one engine, so an ``engine:`` section is an
-    unknown top-level key: ``scenario validate`` reports it against the
-    file and exits 2, with no traceback."""
+    """Documents naming retired features fail ``scenario validate``
+    against the file with exit 2 and no traceback: the simulator has one
+    engine, so an ``engine:`` section is an unknown top-level key, and a
+    retired resilience service is unknown to the services registry."""
     from repro.cli import main
 
-    path = tmp_path / "engine.yaml"
-    path.write_text("scenario: old\nworkload:\n  recipe: pipeline\n"
-                    "engine:\n  queue: ladder\n")
-    assert main(["scenario", "validate", str(path)]) == 2
+    cases = {
+        "engine.yaml": ("engine:\n  queue: ladder\n",
+                        "unknown top-level key 'engine'"),
+        "breaker.yaml": ("services:\n  breaker:\n",
+                         "services: unknown resilience service 'breaker'; "
+                         "known: heartbeat, bulkhead, dlq, idempotent"),
+    }
+    for name, (section, error) in cases.items():
+        path = tmp_path / name
+        path.write_text("scenario: old\nworkload:\n  recipe: pipeline\n"
+                        + section)
+        assert main(["scenario", "validate", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert f"{path}: {error}" in out
+        assert "Traceback" not in out
+
+
+def test_scenario_list_shows_the_services_registry(capsys):
+    """``scenario list`` prints the ``services:`` registry with the other
+    four, and ``--params`` adds each service's knobs."""
+    from repro.cli import main
+    from repro.resilience.registry import SERVICE_REGISTRY
+
+    assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
-    assert f"{path}: unknown top-level key 'engine'" in out
-    assert "Traceback" not in out
+    section = out.split("resilience services (services:):\n")[1]
+    listed = [line.split()[0] for line in section.splitlines()
+              if line.startswith("  ") and not line.startswith("    ")]
+    assert listed == list(SERVICE_REGISTRY.names())
+    assert main(["scenario", "list", "--params"]) == 0
+    out = capsys.readouterr().out
+    assert "    retry_after" in out and "default 20000" in out
 
 
 # -- plugin registration end to end -----------------------------------
