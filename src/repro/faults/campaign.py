@@ -327,7 +327,15 @@ def run_seed(seed: int, n_clusters: int = 3,
     scenario = generate_scenario(workload_rng.seed, n_clusters=n_clusters)
 
     from ..exec.refcache import reference_observable
-    baseline = reference_observable(scenario, max_events, cache)
+    violations: List[str] = []
+    try:
+        baseline = reference_observable(scenario, max_events, cache)
+    except SimulationError as error:
+        # The failure-free reference itself exhausted the budget: there
+        # is nothing to judge the faulted run against (and nothing was
+        # cached), so the seed fails with the reason instead.
+        baseline = None
+        violations.append(f"reference run: {error}")
 
     faulted = Machine(plan_machine_config(plan, n_clusters, seed,
                                           loss_rate=loss_rate,
@@ -336,13 +344,13 @@ def run_seed(seed: int, n_clusters: int = 3,
     injector = FaultInjector(faulted)
     install_plan(plan, injector, pids)
 
-    violations: List[str] = []
     try:
         faulted.run_until_idle(max_events=max_events)
     except SimulationError as error:
         violations.append(f"simulation: {error}")
-    violations += check_scenario(baseline, faulted, plan.survivable,
-                                 injector.crashes_delivered())
+    if baseline is not None:
+        violations += check_scenario(baseline, faulted, plan.survivable,
+                                     injector.crashes_delivered())
 
     result = ScenarioResult(
         seed=seed, kind=kind, plan=plan.describe(),

@@ -42,13 +42,16 @@ from ..metrics import MetricSet
 from ..sim import Simulator, TraceLog
 from ..types import ClusterId
 from .buslink import ACK_LOSS, DualBusFaultLayer, OK
+from .cluster import group_legs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from .cluster import Cluster
 
 
-@dataclass
+@dataclass(slots=True)
 class _Transmission:
+    """The bus's in-flight transmission; slotted, one per message."""
+
     src: ClusterId
     message: Message
     #: Fault-layer fields (unused — and never touched — on the perfect
@@ -74,13 +77,14 @@ class InterclusterBus:
         self._costs = costs
         self._metrics = metrics
         self._trace = trace
-        #: Hot-path aliases (stable in-place-mutated stores and fixed
-        #: per-transmission cost parameters): one transmission pays two
-        #: counter bumps, one busy charge and one histogram record, and
-        #: the method-call layers were measurable on dense workloads.
+        #: Hot-path aliases (stable in-place-mutated stores, a bound
+        #: histogram recorder and fixed per-transmission cost
+        #: parameters): one transmission pays two counter bumps, one busy
+        #: charge and one histogram record, and the method-call layers
+        #: were measurable on dense workloads.
         self._mcounters = metrics._counters
         self._mbusy = metrics._busy
-        self._record_hist = metrics.record_hist
+        self._record_request_queue = metrics.recorder("bus.request_queue")
         self._latency = costs.bus_latency
         self._ticks_per_byte = costs.bus_ticks_per_byte
         self._clusters: Dict[ClusterId, "Cluster"] = {}
@@ -134,7 +138,7 @@ class InterclusterBus:
             return
         self._requested.add(cluster_id)
         self._requests.append(cluster_id)
-        self._record_hist("bus.request_queue", len(self._requests))
+        self._record_request_queue(len(self._requests))
         if self._current is None:
             self._grant_next()
 
@@ -175,14 +179,16 @@ class InterclusterBus:
         if self._faults is not None:
             self._begin_faulted(src, message)
             return
-        transmission = _Transmission(src=src, message=message)
+        transmission = _Transmission(src, message)
         self._current = transmission
         size = message.size_bytes
         duration = self._latency + size * self._ticks_per_byte
         counters = self._mcounters
         counters["bus.transmissions"] += 1
         counters["bus.bytes"] += size
-        self._mbusy[("bus", message.kind.value)] += duration
+        # ``_value_``, the member's stored value: ``.value`` is a
+        # Python-level descriptor call per transmission.
+        self._mbusy[("bus", message.kind._value_)] += duration
         self._busy_ticks += duration
         if self._trace.active:
             # describe()/target_clusters() build strings and tuples; skip
@@ -207,8 +213,9 @@ class InterclusterBus:
             self._metrics.incr("bus.aborted_transmissions")
         else:
             self._deliver_all(message)
-            # The sender may have queued more traffic while we were busy.
-            if src_cluster.has_outgoing():
+            # The sender may have queued more traffic while we were busy
+            # (``has_outgoing()``, inlined: once per transmission).
+            if src_cluster._outgoing:
                 self.request(transmission.src)
         self._grant_next()
 
@@ -216,22 +223,21 @@ class InterclusterBus:
         """Atomic delivery: every live addressed cluster receives the
         message at this same event time.
 
-        Legs are grouped by cluster in one pass here (insertion order, so
-        cluster order matches ``target_clusters()``) and handed to
-        :meth:`Cluster.receive`, which would otherwise rescan the
-        delivery tuple once per addressed cluster.
+        Each cluster gets its group of legs (:func:`group_legs`, cluster
+        order matching ``target_clusters()``): precompiled on a channel
+        message, grouped here for any other.
         """
-        legs: Dict[ClusterId, list] = {}
-        for delivery in message.deliveries:
-            legs.setdefault(delivery.cluster_id, []).append(delivery)
+        groups = message.leg_groups
+        if groups is None:
+            groups = group_legs(message.kind, message.deliveries)
         clusters = self._clusters
         counters = self._mcounters
-        for cluster_id, cluster_legs in legs.items():
+        for cluster_id, legs in groups:
             cluster = clusters.get(cluster_id)
             if cluster is None or not cluster.alive:
                 counters["bus.deliveries_to_dead"] += 1
                 continue
-            cluster.receive(message, cluster_legs)
+            cluster.receive(message, legs)
             counters["bus.deliveries"] += 1
 
     # ------------------------------------------------------------------
@@ -266,7 +272,7 @@ class InterclusterBus:
         else:
             self._metrics.incr("bus.retransmissions")
         self._metrics.incr("bus.bytes", message.size_bytes)
-        self._metrics.add_busy("bus", message.kind.value, duration)
+        self._metrics.add_busy("bus", message.kind._value_, duration)
         self._busy_ticks += duration
         if self._trace.active:
             category = "bus.transmit" if first else "bus.retransmit"
@@ -340,10 +346,10 @@ class InterclusterBus:
         ack-lost attempt — drops the retransmitted copy."""
         faults = self._faults
         message = transmission.message
-        legs: Dict[ClusterId, list] = {}
-        for delivery in message.deliveries:
-            legs.setdefault(delivery.cluster_id, []).append(delivery)
-        for cluster_id, cluster_legs in legs.items():
+        groups = message.leg_groups
+        if groups is None:
+            groups = group_legs(message.kind, message.deliveries)
+        for cluster_id, cluster_legs in groups:
             cluster = self._clusters.get(cluster_id)
             if cluster is None or not cluster.alive:
                 self._metrics.incr("bus.deliveries_to_dead")

@@ -16,10 +16,10 @@ afterwards arrives through the failure detector.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, TYPE_CHECKING
+from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from ..config import MachineConfig
-from ..messages.message import DeliveryRole, Message, MessageKind
+from ..messages.message import Delivery, DeliveryRole, Message, MessageKind
 from ..metrics import MetricSet
 from ..sim import Simulator, TraceLog
 from ..types import ClusterId
@@ -29,12 +29,38 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .bus import InterclusterBus
     from ..kernel.kernel import ClusterKernel
 
-#: Executive-activity labels per delivery role and per message kind,
-#: built once — ``receive`` runs for every delivery leg of every
-#: transmission on the machine, and the per-leg f-string showed up in
-#: delivery-path profiles.
+#: ``DeliveryRole.KERNEL`` as a module constant: ``receive`` tests every
+#: leg against it, and on CPython 3.11 a member load on an Enum class goes
+#: through ``EnumType``'s ``__getattr__`` slot hook, an order of magnitude
+#: slower than a global.
+_KERNEL = DeliveryRole.KERNEL
+
+#: Executive-activity labels per delivery role and per message kind.
 _DELIVER_LABELS = {role: f"deliver_{role.value}" for role in DeliveryRole}
 _APPLY_LABELS = {kind: f"apply_{kind.value}" for kind in MessageKind}
+
+
+def group_legs(kind: MessageKind, deliveries: Tuple[Delivery, ...]
+               ) -> Tuple[Tuple[ClusterId, Tuple[Tuple[Delivery, str],
+                                                 ...]], ...]:
+    """``deliveries`` grouped per addressed cluster, in first-appearance
+    order (the order of :meth:`Message.target_clusters`), each leg paired
+    with the executive activity label it is charged under.
+
+    The kernel compiles this once per channel route and carries it on
+    every message of the channel (``Message.leg_groups``), so the bus and
+    :meth:`Cluster.receive` neither regroup legs per transmission nor
+    hash a :class:`DeliveryRole` per leg; the bus calls it for the other
+    messages.
+    """
+    groups: Dict[ClusterId, List[Tuple[Delivery, str]]] = {}
+    for delivery in deliveries:
+        role = delivery.role
+        label = (_APPLY_LABELS[kind] if role is _KERNEL
+                 else _DELIVER_LABELS[role])
+        groups.setdefault(delivery.cluster_id, []).append((delivery, label))
+    return tuple((cluster_id, tuple(legs))
+                 for cluster_id, legs in groups.items())
 
 
 class Cluster:
@@ -134,32 +160,32 @@ class Cluster:
             self._arrival_seqno = floor
 
     def receive(self, message: Message,
-                legs: Optional[List] = None) -> None:
+                legs: Optional[Tuple[Tuple[Delivery, str], ...]] = None
+                ) -> None:
         """Bus delivery: stamp the cluster-local arrival sequence number and
         queue executive work for each delivery leg addressed here.
 
-        ``legs`` is the pre-grouped delivery list the bus hands over;
-        callers outside the bus path may omit it."""
+        ``legs`` is this cluster's group of :func:`group_legs`, which the
+        bus hands over; callers outside the bus path may omit it."""
         if not self.alive or self.kernel is None:
             return
         if legs is None:
-            legs = list(message.deliveries_for(self.cluster_id))
+            legs = ()
+            for cluster_id, group in group_legs(message.kind,
+                                                message.deliveries):
+                if cluster_id == self.cluster_id:
+                    legs = group
+                    break
         self._arrival_seqno += 1
         seqno = self._arrival_seqno
         handle_delivery = self.kernel.handle_delivery
         submit = self.executive.submit
-        for delivery in legs:
-            role = delivery.role
-            if role is DeliveryRole.KERNEL:
-                # Sync application and backup maintenance are heavier
-                # executive work than a plain queue insert (8.2, 8.3).
-                cost = self._cost_sync_apply
-                label = _APPLY_LABELS[message.kind]
-            else:
-                cost = self._cost_delivery
-                label = _DELIVER_LABELS[role]
-            submit(cost, handle_delivery, label,
-                   (message, delivery, seqno))
+        for delivery, label in legs:
+            # Sync application and backup maintenance are heavier
+            # executive work than a plain queue insert (8.2, 8.3).
+            submit(self._cost_sync_apply if delivery.role is _KERNEL
+                   else self._cost_delivery,
+                   handle_delivery, label, (message, delivery, seqno))
 
     # -- disposal -----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..backup.modes import BackupMode
 from ..config import MachineConfig
-from ..hardware.cluster import Cluster
+from ..hardware.cluster import Cluster, group_legs
 from ..messages.message import (Delivery, DeliveryRole, Message, MessageKind,
                                 QueuedMessage)
 from ..messages.payloads import (EOFMarker, ExitNotice, OpenReply,
@@ -42,6 +42,39 @@ class KernelError(Exception):
 AUTO_BACKUP = "auto"
 
 
+#: Enum members read per message, as module constants: on CPython 3.11 a
+#: member load on an Enum class goes through ``EnumType``'s
+#: ``__getattr__`` slot hook, an order of magnitude slower than a global.
+_PRIMARY_DEST = DeliveryRole.PRIMARY_DEST
+_DEST_BACKUP = DeliveryRole.DEST_BACKUP
+_SENDER_BACKUP = DeliveryRole.SENDER_BACKUP
+_KERNEL = DeliveryRole.KERNEL
+_UNUSABLE = EntryStatus.UNUSABLE
+#: States ``wake_process`` readies (a tuple: ``in`` tests identity first,
+#: where a set would call ``Enum.__hash__``).
+_WAKEABLE = (ProcState.BLOCKED_READ, ProcState.BLOCKED_OPEN,
+             ProcState.BLOCKED_PAGE)
+
+
+def _compile_route(key: Tuple[Any, ...], src_pid: Pid,
+                   channel_id: ChannelId) -> Tuple[Any, ...]:
+    """A channel's three-way route (5.1) for routing key ``(peer cluster,
+    peer backup, peer pid, sender's backup)``: the delivery tuple every
+    message on the channel carries, and its per-cluster leg groups with
+    their executive labels (``Message.leg_groups``).  Channel legs are never
+    KERNEL legs, so no label depends on the message kind."""
+    peer_cluster, peer_backup, peer_pid, sender_backup = key
+    legs = [Delivery(peer_cluster, _PRIMARY_DEST, peer_pid, channel_id)]
+    if peer_backup is not None:
+        legs.append(Delivery(peer_backup, _DEST_BACKUP, peer_pid,
+                             channel_id))
+    if sender_backup is not None:
+        legs.append(Delivery(sender_backup, _SENDER_BACKUP, src_pid,
+                             channel_id))
+    deliveries = tuple(legs)
+    return key, deliveries, group_legs(MessageKind.DATA, deliveries)
+
+
 #: Handler signature for pluggable privileged actions (registered by the
 #: servers package): (kernel, pcb, action) -> (cost_ticks, result).
 ActionHandler = Callable[["ClusterKernel", ProcessControlBlock, Any],
@@ -65,12 +98,15 @@ class ClusterKernel:
         self.trace = trace
         self.routing = RoutingTable(self.cluster_id)
         #: Hot-path aliases over stable internals (the routing dict and
-        #: the metric stores are created once and mutated in place): the
-        #: method-call layer per delivery leg and per consumed message was
-        #: measurable at benchmark event rates.
+        #: the metric stores are created once and mutated in place) and
+        #: histogram recorders bound once: the method-call layer per
+        #: delivery leg and per consumed message was measurable at
+        #: benchmark event rates.
         self._route_get = self.routing._entries.get
         self._mcounters = metrics._counters
-        self._record_hist = metrics.record_hist
+        self._record_depth_server = metrics.recorder("queue.depth.server")
+        self._record_depth_user = metrics.recorder("queue.depth.user")
+        self._record_queue_wait = metrics.recorder("latency.queue_wait")
         self.pcbs: Dict[Pid, ProcessControlBlock] = {}
         self.backups: Dict[Pid, BackupRecord] = {}
         self.birth_notices: Dict[Pid, BirthNotice] = {}
@@ -401,7 +437,7 @@ class ClusterKernel:
             self.trace.emit(self.sim.now, "recovery.suppress",
                             pid=pcb.pid, chan=entry.channel_id)
             return False
-        if entry.status is EntryStatus.UNUSABLE:
+        if entry.status is _UNUSABLE:
             # Destination is a fullback awaiting its new backup: hold.
             message = self._build_channel_message(pcb, entry, payload, size,
                                                   kind)
@@ -427,32 +463,30 @@ class ClusterKernel:
                                entry: RoutingEntry, payload: Any,
                                size: Optional[int],
                                kind: MessageKind) -> Message:
-        if entry.peer_cluster is None or entry.peer_pid is None:
+        peer_pid = entry.peer_pid
+        if entry.peer_cluster is None or peer_pid is None:
             raise KernelError(
                 f"channel {entry.channel_id} has no routable peer")
-        deliveries: List[Delivery] = [
-            Delivery(entry.peer_cluster, DeliveryRole.PRIMARY_DEST,
-                     entry.peer_pid, entry.channel_id)]
-        if entry.peer_backup_cluster is not None:
-            deliveries.append(
-                Delivery(entry.peer_backup_cluster, DeliveryRole.DEST_BACKUP,
-                         entry.peer_pid, entry.channel_id))
+        sender_backup = (None if entry.kernel_internal
+                         else pcb.backup_cluster)
+        key = (entry.peer_cluster, entry.peer_backup_cluster, peer_pid,
+               sender_backup)
+        route = entry.route
+        if route is None or route[0] != key:
+            route = entry.route = _compile_route(key, pcb.pid,
+                                                 entry.channel_id)
         nondet: Tuple[Any, ...] = ()
-        if pcb.backup_cluster is not None and not entry.kernel_internal:
-            deliveries.append(
-                Delivery(pcb.backup_cluster, DeliveryRole.SENDER_BACKUP,
-                         pcb.pid, entry.channel_id))
+        if sender_backup is not None:
             buffer = self.nondet_buffers.get(pcb.pid)
-            if buffer is not None:
+            if buffer is not None and buffer.pending:
                 nondet = buffer.take_for_piggyback()
         msg_id = self.cluster_id * ID_SPACE + self._next_msg
         self._next_msg += 1
         return Message(
-            msg_id, kind, pcb.pid, entry.peer_pid,
-            entry.channel_id, payload,
+            msg_id, kind, pcb.pid, peer_pid, entry.channel_id, payload,
             (size if size is not None
              else self.config.default_message_bytes),
-            tuple(deliveries), self.cluster_id, pcb.backup_cluster, nondet)
+            route[1], self.cluster_id, pcb.backup_cluster, nondet, route[2])
 
     def _send_page_channel(self, pcb: ProcessControlBlock,
                            payload: Any, size: int = 32) -> None:
@@ -536,13 +570,13 @@ class ClusterKernel:
         if not self.alive:
             return
         role = delivery.role
-        if role is DeliveryRole.PRIMARY_DEST:
+        if role is _PRIMARY_DEST:
             self._deliver_primary(message, delivery, seqno)
-        elif role is DeliveryRole.DEST_BACKUP:
+        elif role is _DEST_BACKUP:
             self._deliver_dest_backup(message, delivery, seqno)
-        elif role is DeliveryRole.SENDER_BACKUP:
+        elif role is _SENDER_BACKUP:
             self._deliver_sender_backup(message, delivery)
-        elif role is DeliveryRole.KERNEL:
+        elif role is _KERNEL:
             self._deliver_kernel(message, delivery)
 
     def _deliver_primary(self, message: Message, delivery: Delivery,
@@ -593,9 +627,8 @@ class ClusterKernel:
         if self.resilience is not None:
             self.resilience.note_accepted(self, message, delivery)
         self._mcounters["msg.delivered_primary"] += 1
-        self._record_hist(
-            "queue.depth.server" if is_server else "queue.depth.user",
-            len(queue))
+        (self._record_depth_server if is_server
+         else self._record_depth_user)(len(queue))
         if pcb is not None and pcb.block is not None:
             self._maybe_wake(pcb, entry)
 
@@ -752,9 +785,7 @@ class ClusterKernel:
             entry = self._route_get((chan, pid))
             if entry is None or not entry.queue:
                 return None
-        else:
-            if not fds:
-                fds = tuple(sorted(pcb.fds))
+        elif fds:
             best: Optional[Tuple[int, Fd, RoutingEntry]] = None
             for fd in fds:
                 chan = pcb.fds.get(fd)
@@ -769,6 +800,23 @@ class ClusterKernel:
             if best is None:
                 return None
             _, fd, entry = best
+        else:
+            # A bunch over every open descriptor, scanned in place in fd
+            # insertion order.  Lowest head seqno wins and a tie goes to
+            # the lower fd: exactly the pick of a scan in sorted fd order.
+            best_seqno = best_fd = best_entry = None
+            route_get = self._route_get
+            for fd, chan in pcb.fds.items():
+                entry = route_get((chan, pid))
+                if entry is None or not entry.queue:
+                    continue
+                seqno = entry.queue[0].arrival_seqno
+                if best_entry is None or seqno < best_seqno \
+                        or (seqno == best_seqno and fd < best_fd):
+                    best_seqno, best_fd, best_entry = seqno, fd, entry
+            if best_entry is None:
+                return None
+            fd, entry = best_fd, best_entry
         queued = entry.queue.pop(0)
         if entry.overflow:
             # Load leveling: consuming one message admits the oldest
@@ -780,8 +828,7 @@ class ClusterKernel:
         entry.changed_since_sync = True
         pcb.reads_since_sync += 1
         self._mcounters["msg.reads"] += 1
-        self._record_hist("latency.queue_wait",
-                          self.sim.now - queued.arrival_time)
+        self._record_queue_wait(self.sim.now - queued.arrival_time)
         return fd, queued.message.payload
 
     def _maybe_wake(self, pcb: ProcessControlBlock,
@@ -802,8 +849,7 @@ class ClusterKernel:
                     return
 
     def wake_process(self, pcb: ProcessControlBlock) -> None:
-        if pcb.state in (ProcState.BLOCKED_READ, ProcState.BLOCKED_OPEN,
-                         ProcState.BLOCKED_PAGE):
+        if pcb.state in _WAKEABLE:
             self.scheduler.make_ready(pcb)
 
     # ------------------------------------------------------------------

@@ -31,9 +31,12 @@ class ProcState(enum.Enum):
     EXITED = "exited"
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockInfo:
-    """Why a process is blocked and what will wake it."""
+    """Why a process is blocked and what will wake it.
+
+    Slotted: one is built per blocking read or reply wait.
+    """
 
     kind: str                            # "read" | "read_any" | "reply" | "open" | "page"
     fds: Tuple[Fd, ...] = ()
@@ -127,10 +130,6 @@ class ProcessControlBlock:
         if self.exec_since_sync >= self.sync_time_threshold:
             return True
         return False
-
-    def note_exec(self, ticks: Ticks) -> None:
-        self.exec_since_sync += ticks
-        self.quantum_used += ticks
 
 
 @dataclass

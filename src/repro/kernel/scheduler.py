@@ -21,7 +21,7 @@ address space into memory" (7.10.2).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional, TYPE_CHECKING
+from typing import Any, Callable, Deque, Optional, TYPE_CHECKING
 
 from ..hardware.disk import DiskError
 from ..hardware.processor import WorkProcessor
@@ -43,20 +43,24 @@ class SchedulerError(Exception):
     """Raised when a program returns an unhandled action type."""
 
 
-#: Syscall actions whose handling is deferred whole to ``_finish_syscall``
-#: after the syscall-overhead delay (everything except Compute/Exit, the
-#: entry-time-valued GetPid/ReadClock/Poll, and custom privileged actions).
-_DEFERRED_SYSCALLS = (Read, Write, ReadAny, Open, Close, Fork, GetTime,
-                      Alarm, Yield)
-
-#: Exact-type membership test for the deferred set.  Actions are frozen
-#: dataclasses that are never subclassed (custom privileged actions go
-#: through ``kernel.action_handlers``, which is already keyed by exact
-#: type), so ``__class__ in set`` replaces a nine-way isinstance scan.
-_DEFERRED_SET = frozenset(_DEFERRED_SYSCALLS)
+#: Process states the step engine tests per step, as module constants:
+#: on CPython 3.11 a member load on an Enum class goes through
+#: ``EnumType``'s ``__getattr__`` slot hook, an order of magnitude slower
+#: than a global, and these tests run on every step, wake-up and dispatch.
+_READY = ProcState.READY
+_RUNNING = ProcState.RUNNING
+_EXITED = ProcState.EXITED
+_BLOCKED_READ = ProcState.BLOCKED_READ
+_BLOCKED_OPEN = ProcState.BLOCKED_OPEN
+#: States from which ``make_ready`` does not enqueue (a tuple: ``in``
+#: tests identity first, where a set would call ``Enum.__hash__``).
+_NOT_ENQUEUED = (_RUNNING, _READY, _EXITED)
 
 #: Entry-time-valued syscalls: result defined at syscall *entry* (see
 #: ``_perform_action``); the int tags pick the branch after one lookup.
+#: Actions are frozen dataclasses that are never subclassed (custom
+#: privileged actions go through ``kernel.action_handlers``, which is
+#: keyed by exact type too), so dispatch is by ``__class__`` lookup.
 _ENTRY_KIND = {GetPid: 0, ReadClock: 1, Poll: 2}
 
 
@@ -100,6 +104,12 @@ class Scheduler:
         self._busy_acc = kernel.metrics._busy
         self._syscall_overhead = kernel.config.costs.syscall_overhead
         self._quantum = kernel.config.costs.quantum
+        self._record_request = kernel.metrics.recorder("latency.request")
+        self._record_read_wait = kernel.metrics.recorder("latency.read_wait")
+        #: Syscalls handled whole by ``_finish_syscall`` after the
+        #: syscall-overhead delay (everything except Compute/Exit, the
+        #: entry-time-valued ``_ENTRY_KIND`` ones and custom privileged
+        #: actions), keyed by exact action type.
         self._finishers = {
             Read: self._do_read,
             Write: self._do_write,
@@ -122,12 +132,11 @@ class Scheduler:
     # -- queue management ---------------------------------------------------
 
     def make_ready(self, pcb: ProcessControlBlock) -> None:
-        if pcb.state in (ProcState.RUNNING, ProcState.READY,
-                         ProcState.EXITED):
-            if pcb.state is ProcState.READY:
+        if pcb.state in _NOT_ENQUEUED:
+            if pcb.state is _READY:
                 self.dispatch()
             return
-        pcb.state = ProcState.READY
+        pcb.state = _READY
         # pcb.block stays: _step resolves the pending action on resume.
         queue = self._ready_high if pcb.is_server else self._ready_normal
         queue.append(pcb.pid)
@@ -138,7 +147,7 @@ class Scheduler:
             while queue:
                 pid = queue.popleft()
                 pcb = self.kernel.pcbs.get(pid)
-                if pcb is not None and pcb.state is ProcState.READY:
+                if pcb is not None and pcb.state is _READY:
                     return pcb
         return None
 
@@ -151,7 +160,7 @@ class Scheduler:
         for queue in (self._ready_high, self._ready_normal):
             for pid in queue:
                 pcb = pcbs.get(pid)
-                if pcb is not None and pcb.state is ProcState.READY:
+                if pcb is not None and pcb.state is _READY:
                     return True
         return False
 
@@ -169,7 +178,7 @@ class Scheduler:
             self._assign(proc, pcb)
 
     def _assign(self, proc: WorkProcessor, pcb: ProcessControlBlock) -> None:
-        pcb.state = ProcState.RUNNING
+        pcb.state = _RUNNING
         pcb.on_processor = proc.index
         pcb.quantum_used = 0
         proc.current_pid = pcb.pid
@@ -186,8 +195,9 @@ class Scheduler:
 
     def _charge(self, proc: WorkProcessor, pcb: ProcessControlBlock,
                 cost: Ticks, activity: str) -> None:
-        self.kernel.metrics.add_busy(proc.resource_name, activity, cost)
-        pcb.note_exec(cost)
+        self._busy_acc[(proc.resource_name, activity)] += cost
+        pcb.exec_since_sync += cost
+        pcb.quantum_used += cost
 
     def _gone(self, pcb: ProcessControlBlock) -> bool:
         """Has this exact PCB been exited, failed, or replaced (a restart
@@ -195,7 +205,7 @@ class Scheduler:
         scheduled?"""
         return (not self.kernel.alive
                 or self.kernel.pcbs.get(pcb.pid) is not pcb
-                or pcb.state is ProcState.EXITED)
+                or pcb.state is _EXITED)
 
     # -- the step engine ------------------------------------------------------
 
@@ -208,7 +218,7 @@ class Scheduler:
             return
         # _gone(), inlined: alive was just checked.
         if kernel.pcbs.get(pcb.pid) is not pcb \
-                or pcb.state is ProcState.EXITED:
+                or pcb.state is _EXITED:
             self._release(proc, pcb)
             return
         self._run_step(proc, pcb)
@@ -265,7 +275,6 @@ class Scheduler:
             ctx = pcb._sched_ctx
             txn = ctx.mem
             txn._writes.clear()
-            txn.pages_touched.clear()
         except AttributeError:
             txn = MemoryTxn(pcb.space)
             ctx = StepContext(pid=pcb.pid, mem=txn, regs=pcb.regs)
@@ -285,7 +294,7 @@ class Scheduler:
         pcb.ops_since_checkpoint += 1
         if action.__class__ is Compute:
             # The commonest result by far: charge it and post the
-            # continuation here (pcb.note_exec inlined).
+            # continuation here.
             cost = action.cost
             self._busy_acc[(proc.resource_name, "user")] += cost
             pcb.exec_since_sync += cost
@@ -303,8 +312,8 @@ class Scheduler:
         assert block is not None
         result = kernel.try_consume(pcb, block.fds)
         if result is None:
-            pcb.state = (ProcState.BLOCKED_OPEN if block.kind == "open"
-                         else ProcState.BLOCKED_READ)
+            pcb.state = (_BLOCKED_OPEN if block.kind == "open"
+                         else _BLOCKED_READ)
             self._release(proc, pcb)
             return False
         fd, payload = result
@@ -315,9 +324,9 @@ class Scheduler:
             # are untouched.
             waited = kernel.sim.now - block.since
             if block.kind == "reply":
-                kernel._record_hist("latency.request", waited)
+                self._record_request(waited)
             elif block.kind in ("read", "read_any"):
-                kernel._record_hist("latency.read_wait", waited)
+                self._record_read_wait(waited)
         if block.kind == "read_any":
             pcb.regs["rv"] = (fd, payload)
         elif block.kind == "open":
@@ -404,10 +413,20 @@ class Scheduler:
             self._release(proc, pcb)
             return
 
-        # Everything else pays syscall entry/exit.
+        # Everything else pays syscall entry/exit (``_charge``, inlined).
         overhead = self._syscall_overhead
         self._busy_acc[(proc.resource_name, "syscall")] += overhead
-        pcb.note_exec(overhead)
+        pcb.exec_since_sync += overhead
+        pcb.quantum_used += overhead
+
+        finish = self._finishers.get(cls)
+        if finish is not None:
+            # The liveness checks and the handling itself run after the
+            # overhead delay, inside _finish_syscall; this one lookup
+            # has already picked the handler.
+            self._post(overhead, self._finish_syscall,
+                       (proc, pcb, action, finish))
+            return
 
         entry_kind = _ENTRY_KIND.get(cls)
         if entry_kind is not None:
@@ -422,12 +441,6 @@ class Scheduler:
             else:  # Poll
                 pcb.regs["rv"] = kernel.poll_read(pcb, action.fd)
             self._post(overhead, self._continue_cb, (proc, pcb))
-            return
-
-        if cls in _DEFERRED_SET:
-            # The liveness checks and the action-type dispatch both run
-            # after the overhead delay, inside _finish_syscall.
-            self._post(overhead, self._finish_syscall, (proc, pcb, action))
             return
 
         handler = kernel.action_handlers.get(cls)
@@ -449,16 +462,18 @@ class Scheduler:
         self._post(overhead + cost, self._continue_cb, (proc, pcb))
 
     def _finish_syscall(self, proc: WorkProcessor,
-                        pcb: ProcessControlBlock, action: Any) -> None:
-        """The post-overhead half of a blocking/IO syscall."""
+                        pcb: ProcessControlBlock, action: Any,
+                        finish: Callable[..., None]) -> None:
+        """The post-overhead half of a blocking/IO syscall: ``finish`` is
+        the action's ``_finishers`` handler."""
         kernel = self.kernel
         if not kernel.alive:
             return
         if kernel.pcbs.get(pcb.pid) is not pcb \
-                or pcb.state is ProcState.EXITED:
+                or pcb.state is _EXITED:
             self._release(proc, pcb)
             return
-        self._finishers[action.__class__](proc, pcb, action)
+        finish(proc, pcb, action)
 
     def _do_read(self, proc: WorkProcessor, pcb: ProcessControlBlock,
                  action: Read) -> None:
@@ -566,7 +581,7 @@ class Scheduler:
             return
         # _gone() inlined (alive just checked), plus the RUNNING check.
         if kernel.pcbs.get(pcb.pid) is not pcb \
-                or pcb.state is not ProcState.RUNNING:
+                or pcb.state is not _RUNNING:
             self._release(proc, pcb)
             return
         if kernel.crash_handling:
@@ -580,7 +595,7 @@ class Scheduler:
 
     def _requeue(self, proc: WorkProcessor,
                  pcb: ProcessControlBlock) -> None:
-        pcb.state = ProcState.READY
+        pcb.state = _READY
         queue = self._ready_high if pcb.is_server else self._ready_normal
         queue.append(pcb.pid)
         self._release(proc, pcb)

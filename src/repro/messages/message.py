@@ -95,11 +95,17 @@ class Message:
     Slotted with a handwritten ``__init__`` for the same reason as
     :class:`Delivery`; immutability is by convention (nothing in the
     repository mutates a message after construction).
+
+    ``leg_groups`` is ``deliveries`` grouped per cluster for the bus,
+    each leg paired with its executive activity label
+    (:func:`repro.hardware.cluster.group_legs`).  A channel message
+    carries its route's precompiled grouping; ``None`` (every other
+    message) makes the bus group the legs at delivery.
     """
 
     __slots__ = ("msg_id", "kind", "src_pid", "dst_pid", "channel_id",
                  "payload", "size_bytes", "deliveries", "src_cluster",
-                 "src_backup_cluster", "nondet_events")
+                 "src_backup_cluster", "nondet_events", "leg_groups")
 
     def __init__(self, msg_id: int, kind: MessageKind,
                  src_pid: Optional[Pid], dst_pid: Optional[Pid],
@@ -107,7 +113,8 @@ class Message:
                  size_bytes: int, deliveries: Tuple[Delivery, ...],
                  src_cluster: Optional[ClusterId] = None,
                  src_backup_cluster: Optional[ClusterId] = None,
-                 nondet_events: Tuple[Any, ...] = ()) -> None:
+                 nondet_events: Tuple[Any, ...] = (),
+                 leg_groups: Optional[Tuple[Any, ...]] = None) -> None:
         self.msg_id = msg_id
         self.kind = kind
         self.src_pid = src_pid
@@ -124,6 +131,7 @@ class Message:
         #: extension): the SENDER_BACKUP delivery appends these to the
         #: saved log.
         self.nondet_events = nondet_events
+        self.leg_groups = leg_groups
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Message({self.describe()})"

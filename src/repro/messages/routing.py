@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..types import ChannelId, ClusterId, Fd, Pid
 from .message import QueuedMessage
@@ -88,6 +88,13 @@ class RoutingEntry:
     #: Set when anything about the channel changed since last sync
     #: (opened / written / read), so sync messages carry only deltas (7.8).
     changed_since_sync: bool = True
+    #: The sending kernel's compiled route for this channel, as
+    #: ``(routing key, deliveries, per-cluster leg groups)``; rebuilt
+    #: whenever the key (peer cluster, peer backup, peer pid, sender's
+    #: backup) differs, so crash repair and backup changes need not know
+    #: about it.  Kernel-local, never synced.
+    route: Optional[Tuple[Any, ...]] = field(default=None, repr=False,
+                                             compare=False)
 
     def key(self) -> Tuple[ChannelId, Pid]:
         return (self.channel_id, self.owner_pid)

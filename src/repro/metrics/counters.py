@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .histogram import LogHistogram
 
@@ -136,19 +136,28 @@ class MetricSet:
     def record_hist(self, name: str, value: int) -> None:
         """Fold one sample into the log-spaced histogram ``name`` (O(1),
         bounded memory; see :class:`~repro.metrics.histogram.LogHistogram`)."""
+        self.recorder(name)(value)
+
+    def recorder(self, name: str) -> Callable[[int], None]:
+        """The recording call of histogram ``name``, to bind once and call
+        per sample: what the kernel and the bus use on the delivery path
+        instead of :meth:`record_hist`'s name lookup.  Binding creates the
+        histogram, but a histogram without samples is reported nowhere
+        (:meth:`histogram`, :meth:`histograms`, :meth:`snapshot`)."""
         hist = self._hists.get(name)
         if hist is None:
             hist = self._hists[name] = LogHistogram()
-        hist.record(value)
+        return hist.record
 
     def histogram(self, name: str) -> Optional[LogHistogram]:
         """The histogram recorded under ``name``, or ``None`` if empty."""
-        return self._hists.get(name)
+        hist = self._hists.get(name)
+        return hist if hist is not None and hist.count else None
 
     def histograms(self, prefix: str = "") -> Dict[str, LogHistogram]:
-        """All histograms whose name starts with ``prefix``."""
+        """All non-empty histograms whose name starts with ``prefix``."""
         return {name: hist for name, hist in self._hists.items()
-                if name.startswith(prefix)}
+                if name.startswith(prefix) and hist.count}
 
     # -- busy time --------------------------------------------------------
 
@@ -182,5 +191,6 @@ class MetricSet:
             "busy": {f"{res}:{act}": ticks
                      for (res, act), ticks in self._busy.items()},
             "histograms": {name: hist.summary()
-                           for name, hist in sorted(self._hists.items())},
+                           for name, hist in sorted(self._hists.items())
+                           if hist.count},
         }

@@ -22,6 +22,14 @@ All values are non-negative integers (virtual-time ticks).  Recording
 is deterministic and so is everything derived, which is what lets
 percentile fields live inside reports that must stay byte-identical
 across serial, parallel and cached executions.
+
+Recording is lazy: ``record`` only tallies the raw value, and the tally
+is folded into the buckets once it holds :data:`FOLD_BATCH` distinct
+values, and before anything reads the histogram.  Bucket counts, count,
+total, minimum and maximum are sums and extremes, so folding in batches
+yields exactly what folding each sample at once would; the kernel records
+a queue depth or wait per delivery, and the bucket arithmetic then runs
+once per distinct value per batch instead of once per sample.
 """
 
 from __future__ import annotations
@@ -34,6 +42,10 @@ SUB_BITS = 5
 
 _SUB_COUNT = 1 << SUB_BITS          # 32
 _SUB_MASK = _SUB_COUNT - 1
+
+#: Distinct raw values a histogram tallies before folding them into its
+#: buckets: the bound on the memory an unfolded batch holds.
+FOLD_BATCH = 256
 
 
 def bucket_index(value: int) -> int:
@@ -62,12 +74,13 @@ class LogHistogram:
     """A streaming fixed-bucket histogram over non-negative integers.
 
     ``record`` is O(1); memory is bounded by the number of distinct
-    buckets touched (84 buckets cover values up to ~100 million ticks).
+    buckets touched (84 buckets cover values up to ~100 million ticks)
+    plus an unfolded tally of fewer than :data:`FOLD_BATCH` raw values.
     ``merge`` adds bucket counts — exact, associative, commutative —
     so sharded recording reassembles into the identical aggregate.
     """
 
-    __slots__ = ("_counts", "_count", "_total", "_min", "_max")
+    __slots__ = ("_counts", "_count", "_total", "_min", "_max", "_pending")
 
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
@@ -75,35 +88,56 @@ class LogHistogram:
         self._total = 0
         self._min: Optional[int] = None
         self._max: Optional[int] = None
+        #: Raw value -> samples recorded since the last fold.
+        self._pending: Dict[int, int] = {}
 
     # -- recording ------------------------------------------------------
 
     def record(self, value: int) -> None:
-        """Fold one sample in (negative values clamp to zero).
+        """Count one sample (negative values clamp to zero when folded).
 
-        :func:`bucket_index` is inlined here — one call per recorded
-        sample puts the function-call overhead on the queue-depth and
-        latency hot paths, and the two must stay in lockstep (the model
-        tests cross-check them).
+        One dict update on the queue-depth and latency hot paths; the
+        bucket arithmetic waits for :meth:`_fold`.
         """
-        if value < 0:
-            value = 0
-        if value < _SUB_COUNT:
-            index = value
-        else:
-            shift = value.bit_length() - SUB_BITS - 1
-            index = ((shift + 1) << SUB_BITS) + (value >> shift) - _SUB_COUNT
+        pending = self._pending
+        pending[value] = pending.get(value, 0) + 1
+        if len(pending) >= FOLD_BATCH:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Move the tallied raw values into the buckets and the running
+        count, total, minimum and maximum.  :func:`bucket_index` is
+        inlined; the model tests cross-check the two."""
+        pending = self._pending
+        if not pending:
+            return
         counts = self._counts
-        counts[index] = counts.get(index, 0) + 1
-        self._count += 1
-        self._total += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
+        count = total = 0
+        for value, samples in pending.items():
+            if value < 0:
+                value = 0
+            if value < _SUB_COUNT:
+                index = value
+            else:
+                shift = value.bit_length() - SUB_BITS - 1
+                index = ((shift + 1) << SUB_BITS) + (value >> shift) \
+                    - _SUB_COUNT
+            counts[index] = counts.get(index, 0) + samples
+            count += samples
+            total += value * samples
+        low = max(min(pending), 0)
+        high = max(max(pending), 0)
+        pending.clear()
+        self._count += count
+        self._total += total
+        if self._min is None or low < self._min:
+            self._min = low
+        if self._max is None or high > self._max:
+            self._max = high
 
     def merge(self, other: "LogHistogram") -> "LogHistogram":
         """Fold ``other``'s buckets into this histogram (exact)."""
+        other._fold()
         for index, count in other._counts.items():
             self._counts[index] = self._counts.get(index, 0) + count
         self._count += other._count
@@ -120,22 +154,27 @@ class LogHistogram:
 
     @property
     def count(self) -> int:
+        self._fold()
         return self._count
 
     @property
     def total(self) -> int:
+        self._fold()
         return self._total
 
     @property
     def minimum(self) -> Optional[int]:
+        self._fold()
         return self._min
 
     @property
     def maximum(self) -> Optional[int]:
+        self._fold()
         return self._max
 
     @property
     def mean(self) -> float:
+        self._fold()
         return self._total / self._count if self._count else 0.0
 
     def percentile(self, pct: float) -> Optional[int]:
@@ -145,6 +184,7 @@ class LogHistogram:
         to the observed maximum — within 3.125% of the exact sample,
         never below it for singleton buckets, never above the max.
         """
+        self._fold()
         if not self._count:
             return None
         if pct <= 0:
@@ -163,6 +203,7 @@ class LogHistogram:
     def summary(self, percentiles: Sequence[int] = (50, 90, 99)
                 ) -> Dict[str, object]:
         """The report-ready digest: count, mean, min/max, pNN fields."""
+        self._fold()
         out: Dict[str, object] = {
             "count": self._count,
             "mean": round(self.mean, 1),
@@ -178,6 +219,7 @@ class LogHistogram:
     def as_dict(self) -> Dict[str, object]:
         """JSON-safe form; bucket keys sorted so serialization is
         byte-stable for identical contents."""
+        self._fold()
         return {
             "count": self._count,
             "total": self._total,
@@ -207,6 +249,7 @@ class LogHistogram:
         return merged
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        self._fold()
         return (f"LogHistogram(count={self._count}, min={self._min}, "
                 f"max={self._max}, buckets={len(self._counts)})")
 

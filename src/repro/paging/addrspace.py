@@ -187,31 +187,38 @@ class MemoryTxn:
     makes step re-execution safe.
     """
 
-    __slots__ = ("_space", "_writes", "pages_touched")
+    __slots__ = ("_space", "_writes")
 
     def __init__(self, space: AddressSpace) -> None:
         self._space = space
         self._writes: Dict[int, Cell] = {}
-        #: Pages read during the txn — consulted by tests asserting fault
-        #: behaviour; order-insensitive.
-        self.pages_touched: Set[int] = set()
 
     # Named-variable API used by programs ------------------------------------
+    #
+    # ``get``/``set``/``commit`` run per LOAD/STORE on the hottest
+    # program-execution path, so each indexes the address space's pages
+    # inline (``address_of``, ``read_word``, ``write_word``) for the
+    # in-bounds case; error paths fall back to the methods for their
+    # messages.
 
     def get(self, name: str, index: int = 0) -> Cell:
-        # address_of inlined for the in-bounds case: one get() per LOAD
-        # puts the variable lookup and bounds check on the hottest
-        # program-execution path; error paths fall back for the message.
         space = self._space
         var = space._variables.get(name)
         if var is None or not 0 <= index < var.n_words:
             address = space.address_of(name, index)  # raises with detail
         else:
             address = var.base + index
-        self.pages_touched.add(address // space.words_per_page)
-        if address in self._writes:
-            return self._writes[address]
-        return space.read_word(address)
+        writes = self._writes
+        if address in writes:
+            return writes[address]
+        words_per_page = space.words_per_page
+        page_no = address // words_per_page
+        if page_no not in space._resident:
+            raise PageFault(page_no)
+        page = space._pages.get(page_no)
+        if page is None:
+            return 0
+        return page[address % words_per_page]
 
     def set(self, name: str, value: Cell, index: int = 0) -> None:
         space = self._space
@@ -221,7 +228,6 @@ class MemoryTxn:
         else:
             address = var.base + index
         page_no = address // space.words_per_page
-        self.pages_touched.add(page_no)
         # Fault now if the page is absent: the write itself needs the page
         # (membership-tested against the live set — copying it per write
         # made every STORE O(resident pages)).
@@ -236,14 +242,29 @@ class MemoryTxn:
         return value
 
     def commit(self) -> int:
-        """Apply buffered writes; returns the number of words written."""
+        """Apply buffered writes; returns the number of words written.
+
+        Every written page was resident when ``set`` buffered the word and
+        nothing runs between a step and its commit, so no write can fault
+        here and the order writes land in is invisible: they are applied
+        in buffer order.
+        """
         writes = self._writes
         if not writes:
             # Read-only steps (every Compute, Read and most syscalls)
-            # commit nothing; skip the sort-and-scan entirely.
+            # commit nothing.
             return 0
-        for address, value in sorted(writes.items()):
-            self._space.write_word(address, value)
+        space = self._space
+        pages = space._pages
+        dirty = space._dirty
+        words_per_page = space.words_per_page
+        for address, value in writes.items():
+            page_no = address // words_per_page
+            page = pages.get(page_no)
+            if page is None:
+                page = pages[page_no] = [0] * words_per_page
+            page[address % words_per_page] = value
+            dirty.add(page_no)
         count = len(writes)
         writes.clear()
         return count

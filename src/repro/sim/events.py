@@ -146,20 +146,20 @@ class EventHeap:
     ``event.action(*event.args)``.
     """
 
-    __slots__ = ("_heap", "_seq", "_live")
+    __slots__ = ("_heap", "_seq")
 
     def __init__(self) -> None:
         self._heap: List[_Entry] = []
         self._seq = 0
-        self._live = 0
 
     def __len__(self) -> int:
-        return self._live
+        """Entries not yet popped, cancelled ones included: a cancelled
+        entry counts until a pop or peek discards it."""
+        return len(self._heap)
 
     def clear(self) -> None:
         """Drop every pending entry, in place (``seq`` keeps counting)."""
         self._heap.clear()
-        self._live = 0
 
     def push(self, time: int, action: Callable[..., None], priority: int = 0,
              label: str = "", args: tuple = ()) -> Event:
@@ -169,7 +169,6 @@ class EventHeap:
             raise SchedulingError(f"event time must be >= 0, got {time}")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         event = Event(time, priority, seq, action, label, False, args)
         heappush(self._heap, (time, priority, seq, event, action, args))
         return event
@@ -177,13 +176,12 @@ class EventHeap:
     def post(self, time: int, fn: Callable[..., None],
              args: tuple = ()) -> None:
         """Schedule ``fn(*args)`` at absolute virtual ``time``, priority
-        0, with no handle: the same key and live-count accounting as
-        :meth:`push`, minus the :class:`Event` nobody would keep."""
+        0, with no handle: the same key as :meth:`push`, minus the
+        :class:`Event` nobody would keep."""
         if time < 0:
             raise SchedulingError(f"event time must be >= 0, got {time}")
         seq = self._seq
         self._seq = seq + 1
-        self._live += 1
         heappush(self._heap, (time, 0, seq, POSTED, fn, args))
 
     def pop(self) -> Optional[Event]:
@@ -195,7 +193,6 @@ class EventHeap:
         heap = self._heap
         while heap:
             entry = heappop(heap)
-            self._live -= 1
             if entry[3].cancelled:
                 continue
             return _event_of(entry)
@@ -204,8 +201,8 @@ class EventHeap:
     def peek_time(self) -> Optional[int]:
         """Return the virtual time of the next live event without popping it.
 
-        Cancelled events discarded here must decrement the unpopped count
-        exactly as :meth:`pop` does — otherwise ``len(heap)`` reports
+        Cancelled events at the head are discarded here exactly as
+        :meth:`pop` discards them — otherwise ``len(heap)`` reports
         phantom events after a peek past a cancelled head, and callers
         like ``Simulator.run_until_idle`` see a non-zero ``pending()``
         with nothing left to run.
@@ -213,7 +210,6 @@ class EventHeap:
         heap = self._heap
         while heap and heap[0][3].cancelled:
             heappop(heap)
-            self._live -= 1
         if not heap:
             return None
         return heap[0][0]

@@ -55,7 +55,8 @@ class Simulator:
         return self._event_count
 
     def pending(self) -> int:
-        """Number of live events still scheduled."""
+        """Number of events still scheduled (a cancelled one counts until
+        the loop reaches and discards it)."""
         return len(self._heap)
 
     def call_at(self, time: int, action: Callable[[], None],
@@ -98,7 +99,7 @@ class Simulator:
 
     def _make_fast_post(self) -> Callable[..., None]:
         """Build the fused :meth:`post`: :meth:`EventHeap.post` inlined
-        into the scheduling call, with identical bounds and live-count
+        into the scheduling call, with identical bounds and key
         semantics."""
         heap = self._heap
         entries = heap._heap
@@ -109,7 +110,6 @@ class Simulator:
                 raise SchedulingError(f"delay must be >= 0, got {delay}")
             seq = heap._seq
             heap._seq = seq + 1
-            heap._live += 1
             heappush(entries, (self.now + delay, 0, seq, POSTED, fn, args))
 
         return post
@@ -162,10 +162,9 @@ class Simulator:
                        max_events: Optional[int]) -> int:
         """The dispatch loop, inlined over the heap's entry list.
 
-        Operates on ``heap._heap`` directly with the same lazy-discard
-        and live-count accounting as :meth:`EventHeap.pop`; the
-        method-call layer per event was a measured fraction of dense
-        workloads.
+        Operates on ``heap._heap`` directly with the same lazy discard
+        of cancelled entries as :meth:`EventHeap.pop`; the method-call
+        layer per event was a measured fraction of dense workloads.
         """
         executed = 0
         stop_at = max_events if max_events is not None else (1 << 62)
@@ -177,7 +176,6 @@ class Simulator:
                 head = entries[0]
                 if head[3].cancelled:
                     heappop(entries)
-                    heap._live -= 1
                     continue
                 break
             if not entries:
@@ -191,7 +189,6 @@ class Simulator:
             # in (priority, seq) order — exact serial-dispatch order.
             while entries and entries[0][0] == now:
                 entry = heappop(entries)
-                heap._live -= 1
                 if entry[3].cancelled:
                     continue
                 executed += 1

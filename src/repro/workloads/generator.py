@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Tuple
 from ..backup.modes import BackupMode
 from ..config import MachineConfig
 from ..core.machine import Machine
+from ..sim.events import SimulationError
 from ..sim.rng import DeterministicRNG
 from ..types import Pid
 from .programs import (FileWorkerProgram, ForkParentProgram, PingProgram,
@@ -77,13 +78,19 @@ class Scenario:
     def run(self, crash_cluster: Optional[int] = None,
             crash_at: Optional[int] = None,
             max_events: int = 40_000_000) -> Machine:
-        """Build a fresh machine, optionally crash, run to idle."""
+        """Build a fresh machine, optionally crash, run to idle.  A run
+        that exhausts ``max_events`` closes its machine and re-raises the
+        :class:`~repro.sim.events.SimulationError`."""
         machine = Machine(MachineConfig(n_clusters=self.n_clusters,
                                         trace_enabled=False))
         self.build(machine)
         if crash_cluster is not None:
             machine.crash_cluster(crash_cluster, at=crash_at or 10_000)
-        machine.run_until_idle(max_events=max_events)
+        try:
+            machine.run_until_idle(max_events=max_events)
+        except SimulationError:
+            machine.close()
+            raise
         return machine
 
 

@@ -181,11 +181,22 @@ def test_txn_commit_returns_word_count():
     assert txn.commit() == 2
 
 
-def test_txn_tracks_pages_touched():
+def test_txn_faults_name_the_page_touched():
+    """A promoted backup's step faults on exactly the page it touches;
+    resident pages on either side keep working and the aborted step
+    leaves memory untouched."""
     s = space(words_per_page=2)
     s.declare("arr", 6)
-    s.make_fully_resident()
+    s.install_page(0, (1, 2))
+    s.install_page(2, None)
     txn = MemoryTxn(s)
-    txn.get("arr", 0)
+    assert txn.get("arr", 1) == 2
     txn.set("arr", 9, index=5)
-    assert txn.pages_touched == {0, 2}
+    assert txn.get("arr", 5) == 9
+    for access in (lambda: txn.get("arr", 2),
+                   lambda: txn.set("arr", 7, index=3)):
+        with pytest.raises(PageFault) as fault:
+            access()
+        assert fault.value.page_no == 1
+    assert s.snapshot_page(2) == (0, 0)
+    assert s.dirty_pages() == []

@@ -110,3 +110,39 @@ def test_campaign_cli_rejects_unknown_kind(capsys):
     code = cli.main(["campaign", "--seeds", "1", "--kinds", "nonsense"])
     assert code == 2
     assert "unknown fault kinds" in capsys.readouterr().out
+
+
+#: A seed whose failure-free reference run needs more than this budget.
+BUDGET_SEED, TINY_BUDGET = 7003, 300
+
+
+def _assert_reference_budget_reported(result):
+    assert not result.passed
+    assert result.violations[0] == (
+        f"reference run: simulation did not go idle within {TINY_BUDGET} "
+        f"events (2 still pending)")
+
+
+def test_reference_budget_exhaustion_is_a_violation(tmp_path):
+    result = run_seed(BUDGET_SEED, max_events=TINY_BUDGET)
+    _assert_reference_budget_reported(result)
+    report = run_campaign([BUDGET_SEED], max_events=TINY_BUDGET,
+                          cache_dir=str(tmp_path))
+    _assert_reference_budget_reported(report.results[0])
+    # An exhausted reference is no observable: nothing is cached.
+    assert report.cache_misses == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_reference_budget_exhaustion_is_a_violation_with_two_jobs(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr("repro.exec.pool.os.cpu_count", lambda: 2)
+    seeds = [BUDGET_SEED, BUDGET_SEED + 1]
+    serial = run_campaign(seeds, max_events=TINY_BUDGET)
+    parallel = run_campaign(seeds, max_events=TINY_BUDGET, jobs=2,
+                            cache_dir=str(tmp_path))
+    assert parallel.jobs == 2
+    _assert_reference_budget_reported(parallel.results[0])
+    assert json.dumps(parallel.as_dict(), sort_keys=True) \
+        == json.dumps(serial.as_dict(), sort_keys=True)
+    assert list(tmp_path.iterdir()) == []

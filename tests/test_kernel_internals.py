@@ -130,6 +130,142 @@ def test_try_consume_bad_fd_raises(machine):
         kernel.try_consume(pcb, (99,))
 
 
+def test_bunch_read_picks_lowest_seqno_whatever_the_fd_insertion_order(
+        machine):
+    """``ReadAny(fds=())`` scans the fd map in place: the lowest head
+    arrival seqno wins even when the map's insertion order is not fd
+    order, and a tie goes to the lower fd."""
+    pcb = spawn_pcb(machine)
+    kernel = machine.kernels[pcb.cluster_id]
+    pcb.fds = dict(reversed(list(pcb.fds.items())))
+    assert list(pcb.fds) != sorted(pcb.fds)
+    fs_fd, ps_fd = pcb.fs_channel_fd, pcb.ps_channel_fd
+    fs_entry = kernel.routing.require(pcb.fds[fs_fd], pcb.pid)
+    ps_entry = kernel.routing.require(pcb.fds[ps_fd], pcb.pid)
+    queue_message(kernel, fs_entry, "fs-late", 9)
+    queue_message(kernel, ps_entry, "ps-early", 4)
+    assert kernel.try_consume(pcb, ()) == (ps_fd, "ps-early")
+    queue_message(kernel, ps_entry, "ps-tied", 9)
+    assert kernel.try_consume(pcb, ()) == (min(fs_fd, ps_fd), "fs-late")
+    assert kernel.try_consume(pcb, ()) == (ps_fd, "ps-tied")
+    assert kernel.try_consume(pcb, ()) is None
+
+
+def test_bunch_read_matches_a_scan_in_sorted_fd_order(machine):
+    """Randomized: the in-place scan picks what the sorted-order scan
+    with a strict ``<`` picked, over shuffled fd maps and tied seqnos."""
+    import random
+
+    rng = random.Random(11)
+    pcb = spawn_pcb(machine)
+    kernel = machine.kernels[pcb.cluster_id]
+    for chan in range(900_001, 900_007):
+        kernel.routing.add(RoutingEntry(
+            channel_id=chan, owner_pid=pcb.pid, is_backup=False,
+            peer_pid=None, peer_cluster=None, peer_backup_cluster=None,
+            fd=pcb.alloc_fd(chan)))
+    entries = [kernel.routing.require(chan, pcb.pid)
+               for chan in pcb.fds.values()]
+
+    def sorted_scan():
+        best = None
+        for fd in sorted(pcb.fds):
+            entry = kernel.routing.get(pcb.fds[fd], pcb.pid)
+            if entry.queue and (best is None
+                                or entry.queue[0].arrival_seqno < best[0]):
+                best = (entry.queue[0].arrival_seqno, fd)
+        return best
+
+    for _ in range(200):
+        items = list(pcb.fds.items())
+        rng.shuffle(items)
+        pcb.fds = dict(items)
+        for entry in entries:
+            entry.queue.clear()
+            if rng.random() < 0.6:
+                queue_message(kernel, entry, entry.channel_id,
+                              rng.randrange(1, 5))
+        expected = sorted_scan()
+        got = kernel.try_consume(pcb, ())
+        if expected is None:
+            assert got is None
+        else:
+            assert got[0] == expected[1]
+
+
+# -- compiled channel routes --------------------------------------------------------
+
+def route_view(message):
+    """A message's deliveries and per-cluster leg groups as plain values."""
+    def leg(delivery):
+        return (delivery.cluster_id, delivery.role, delivery.pid,
+                delivery.channel_id)
+    return ([leg(d) for d in message.deliveries],
+            [(cluster, [(leg(d), label) for d, label in legs])
+             for cluster, legs in message.leg_groups])
+
+
+def test_route_cache_follows_every_routing_change():
+    """The compiled route is rebuilt whenever the routing key changes:
+    after each promotion, backup loss, backup re-creation and sender
+    backup move, the next message routes exactly as a route built from
+    scratch does, by the three-way rule of 5.1."""
+    from repro.hardware.cluster import group_legs
+
+    machine = make_machine(n_clusters=4)
+    pcb = spawn_pcb(machine, cluster=0)
+    kernel = machine.kernels[0]
+    entry = kernel.routing.require(pcb.fds[pcb.fs_channel_fd], pcb.pid)
+    entry.peer_kind = PeerKind.USER
+    peer = entry.peer_pid
+
+    def check():
+        cached = kernel._build_channel_message(pcb, entry, "x", None,
+                                               MessageKind.DATA)
+        again = kernel._build_channel_message(pcb, entry, "y", None,
+                                              MessageKind.DATA)
+        assert again.deliveries is cached.deliveries  # compiled once
+        entry.route = None
+        scratch = kernel._build_channel_message(pcb, entry, "z", None,
+                                                MessageKind.DATA)
+        assert route_view(cached) == route_view(scratch)
+        expected = [(entry.peer_cluster, DeliveryRole.PRIMARY_DEST, peer,
+                     entry.channel_id)]
+        if entry.peer_backup_cluster is not None:
+            expected.append((entry.peer_backup_cluster,
+                             DeliveryRole.DEST_BACKUP, peer,
+                             entry.channel_id))
+        if pcb.backup_cluster is not None:
+            expected.append((pcb.backup_cluster, DeliveryRole.SENDER_BACKUP,
+                             pcb.pid, entry.channel_id))
+        assert route_view(cached)[0] == expected
+        grouped = group_legs(MessageKind.DATA, cached.deliveries)
+        assert route_view(cached)[1] == [
+            (cluster, [((d.cluster_id, d.role, d.pid, d.channel_id), label)
+                       for d, label in legs]) for cluster, legs in grouped]
+        return route_view(cached)
+
+    spare = [c for c in range(4) if c not in
+             (entry.peer_cluster, entry.peer_backup_cluster)]
+    seen = [check()]
+    kernel.routing.repair_after_crash(entry.peer_backup_cluster)  # loses it
+    assert entry.peer_backup_cluster is None
+    seen.append(check())
+    kernel.routing.apply_backup_ready(peer, spare[0])              # regains
+    seen.append(check())
+    kernel.routing.repair_after_crash(entry.peer_cluster)          # promoted
+    assert entry.peer_cluster == spare[0]
+    seen.append(check())
+    kernel.routing.apply_backup_ready(peer, spare[1])
+    seen.append(check())
+    pcb.backup_cluster = next(c for c in range(1, 4)
+                              if c != pcb.backup_cluster)         # moves
+    seen.append(check())
+    pcb.backup_cluster = None                                      # gone
+    seen.append(check())
+    assert all(a != b for a, b in zip(seen, seen[1:]))
+
+
 # -- write suppression (5.4) -----------------------------------------------------
 
 def test_send_suppressed_while_count_positive(machine):

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from repro.metrics import LogHistogram, exact_percentile
-from repro.metrics.histogram import (SUB_BITS, bucket_index,
+from repro.metrics.histogram import (FOLD_BATCH, SUB_BITS, bucket_index,
                                      bucket_upper_bound)
 
 PERCENTILES = (1, 25, 50, 75, 90, 95, 99, 99.9, 100)
@@ -151,6 +151,142 @@ def test_serialization_round_trip():
         json.loads(json.dumps(hist.as_dict())))
     assert clone.as_dict() == hist.as_dict()
     assert clone.summary() == hist.summary()
+
+
+# -- batched folding against an eager reference -------------------------
+
+
+class EagerHistogram:
+    """The histogram as it was before recording became lazy: every
+    ``record`` folds its sample into the buckets at once.  The reference
+    the batched :class:`LogHistogram` must match byte for byte."""
+
+    def __init__(self):
+        self.counts, self.count, self.total = {}, 0, 0
+        self.min = self.max = None
+
+    def record(self, value):
+        value = max(value, 0)
+        index = bucket_index(value)
+        self.counts[index] = self.counts.get(index, 0) + 1
+        self.count += 1
+        self.total += value
+        self.min = value if self.min is None else min(self.min, value)
+        self.max = value if self.max is None else max(self.max, value)
+
+    def merge(self, other):
+        for index, count in other.counts.items():
+            self.counts[index] = self.counts.get(index, 0) + count
+        self.count += other.count
+        self.total += other.total
+        for value in (other.min, other.max):
+            if value is not None:
+                self.min = value if self.min is None else min(self.min, value)
+                self.max = value if self.max is None else max(self.max, value)
+
+    def percentile(self, pct):
+        if not self.count:
+            return None
+        if pct <= 0:
+            return self.min
+        rank = min(self.count, max(1, -(-int(pct * self.count) // 100)))
+        seen = 0
+        for index in sorted(self.counts):
+            seen += self.counts[index]
+            if seen >= rank:
+                return min(bucket_upper_bound(index), self.max)
+
+    def summary(self):
+        return {"count": self.count,
+                "mean": round(self.total / self.count if self.count
+                              else 0.0, 1),
+                "min": self.min, "max": self.max,
+                **{f"p{pct}": self.percentile(pct) for pct in (50, 90, 99)}}
+
+    def as_dict(self):
+        return {"count": self.count, "total": self.total, "min": self.min,
+                "max": self.max,
+                "buckets": {str(index): self.counts[index]
+                            for index in sorted(self.counts)}}
+
+    @classmethod
+    def from_dict(cls, data):
+        hist = cls()
+        hist.count, hist.total = data["count"], data["total"]
+        hist.min, hist.max = data["min"], data["max"]
+        hist.counts = {int(i): c for i, c in data["buckets"].items()}
+        return hist
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_batched_folding_matches_eager_reference(seed):
+    """Random interleavings of record (negatives included), merge,
+    serialization round trips and every read: the batched histogram's
+    ``as_dict`` is byte-identical to the eager reference's after every
+    read, and its unfolded batch never reaches :data:`FOLD_BATCH`."""
+    rng = random.Random(seed)
+    pairs = [(LogHistogram(), EagerHistogram()) for _ in range(3)]
+    folds = 0
+
+    def sample():
+        shape = rng.random()
+        if shape < 0.1:
+            return rng.randrange(-40, 0)
+        if shape < 0.6:
+            return rng.randrange(0, 64)
+        return rng.randrange(0, 3_000_000)
+
+    for _ in range(20_000):
+        lazy, eager = rng.choice(pairs)
+        if rng.random() < 0.998:
+            before = len(lazy._pending)
+            value = sample()
+            lazy.record(value)
+            eager.record(value)
+            assert len(lazy._pending) < FOLD_BATCH
+            folds += len(lazy._pending) < before
+            continue
+        read = rng.randrange(6)
+        if read == 0:
+            other = rng.randrange(len(pairs))
+            lazy.merge(pairs[other][0])
+            eager.merge(pairs[other][1])
+        elif read == 1:
+            index = pairs.index((lazy, eager))
+            blob = json.loads(json.dumps(lazy.as_dict()))
+            pairs[index] = (LogHistogram.from_dict(blob),
+                            EagerHistogram.from_dict(blob))
+            lazy, eager = pairs[index]
+        elif read == 2:
+            pct = rng.choice(PERCENTILES + (0,))
+            assert lazy.percentile(pct) == eager.percentile(pct)
+        elif read == 3:
+            assert lazy.summary() == eager.summary()
+        elif read == 4:
+            assert lazy.count == eager.count
+        assert json.dumps(lazy.as_dict()) == json.dumps(eager.as_dict())
+    assert folds > 0  # full batches really were folded mid-stream
+
+
+def test_metricset_hides_histograms_bound_but_never_recorded():
+    """Binding a recorder creates the histogram, but a name with no
+    samples is reported nowhere until its first sample."""
+    from repro.metrics import MetricSet
+
+    metrics = MetricSet()
+    record = metrics.recorder("latency.idle")
+    metrics.record_hist("latency.busy", 5)
+    assert metrics.histogram("latency.idle") is None
+    assert set(metrics.histograms()) == {"latency.busy"}
+    assert set(metrics.histograms("latency.")) == {"latency.busy"}
+    assert set(metrics.snapshot()["histograms"]) == {"latency.busy"}
+    record(-3)
+    assert metrics.histogram("latency.idle").as_dict() == {
+        "count": 1, "total": 0, "min": 0, "max": 0, "buckets": {"0": 1}}
+    assert set(metrics.snapshot()["histograms"]) == {"latency.busy",
+                                                     "latency.idle"}
+    assert metrics.recorder("latency.idle").__self__ \
+        is metrics.histogram("latency.idle")
 
 
 # -- MetricSet integration: keep_series=False equivalence ---------------
