@@ -120,11 +120,10 @@ class BusFaultConfig:
 class ResilienceConfig:
     """Gates for the in-sim resilience services (:mod:`repro.resilience`).
 
-    Every service is **off** by default; with all of them off the layer
-    is never installed and the machine's traces stay byte-identical to a
+    Heartbeat is the one service.  It is **off** by default; off, no
+    monitor is built and the machine's traces stay byte-identical to a
     build without it — the same hard constraint ``BusFaultConfig``
-    obeys.  Each flag enables one registered service; the knobs beside
-    it only matter while that service is on.
+    obeys.  The knobs beside the flag only matter while it is on.
     """
 
     #: Heartbeat-based crash detection, augmenting the poll-based
@@ -140,31 +139,6 @@ class ResilienceConfig:
     #: fault layer is active (bounds the false-positive scan so the
     #: event heap still drains).
     heartbeat_horizon: Ticks = 240_000
-    #: Bulkhead: partition the bounded server inbox by client class
-    #: (the client's home cluster modulo ``bulkhead_partitions``), each
-    #: class getting its own ``server_inbox_limit`` quota.
-    bulkhead: bool = False
-    bulkhead_partitions: int = 2
-    #: Dead-letter queue capturing shed inbox arrivals instead of
-    #: dropping them silently, and redelivering them.
-    dlq: bool = False
-    #: Records retained per cluster (oldest are evicted permanently).
-    dlq_limit: int = 64
-    #: Ticks before a shed record is offered back to the inbox.
-    dlq_retry_after: Ticks = 20_000
-    #: Redelivery attempts per record before it is declared dead.
-    dlq_max_retries: int = 3
-    #: Idempotent-receiver guard: suppress a second PRIMARY_DEST
-    #: delivery of the same (source cluster, message seqno) to the same
-    #: destination process.
-    idempotent: bool = False
-    #: Distinct message keys remembered per cluster (sliding window).
-    idempotent_window: int = 4096
-
-    @property
-    def enabled(self) -> bool:
-        return (self.heartbeat or self.bulkhead or self.dlq
-                or self.idempotent)
 
     def validate(self) -> "ResilienceConfig":
         if self.heartbeat_interval < 1:
@@ -173,16 +147,6 @@ class ResilienceConfig:
             raise ConfigError("heartbeat_miss_threshold must be >= 1")
         if self.heartbeat_horizon < 1:
             raise ConfigError("heartbeat_horizon must be >= 1")
-        if self.bulkhead_partitions < 1:
-            raise ConfigError("bulkhead_partitions must be >= 1")
-        if self.dlq_limit < 1:
-            raise ConfigError("dlq_limit must be >= 1")
-        if self.dlq_retry_after < 1:
-            raise ConfigError("dlq_retry_after must be >= 1")
-        if self.dlq_max_retries < 0:
-            raise ConfigError("dlq_max_retries must be >= 0")
-        if self.idempotent_window < 1:
-            raise ConfigError("idempotent_window must be >= 1")
         return self
 
 
@@ -227,25 +191,12 @@ class MachineConfig:
     #: production use.
     ablate_dest_backup_save: bool = False   # drop DEST_BACKUP copies (5.1)
     ablate_send_suppression: bool = False   # ignore write counts (5.4)
-    #: Queue-based load leveling at server inboxes (off by default).
-    #: With a limit set, a server routing entry holds at most this many
-    #: queued requests; arrivals beyond it are handled per
-    #: ``server_inbox_policy``.  ``None`` keeps the original unbounded
-    #: behaviour byte-identical.
-    server_inbox_limit: Optional[int] = None
-    #: What to do with arrivals past the limit: ``"defer"`` parks them
-    #: in arrival order and admits one per consume (lossless
-    #: backpressure); ``"shed"`` drops them at the primary (lossy — the
-    #: backup's saved copy survives, so shedding is an experiment knob,
-    #: not a production mode; see docs/performance.md).
-    server_inbox_policy: str = "defer"
     #: Transient-fault model for the dual bus (off by default; see
     #: :class:`BusFaultConfig`).  The machine stays free of runtime
     #: randomness — fault outcomes come from a seeded hash stream.
     bus_faults: BusFaultConfig = field(default_factory=BusFaultConfig)
-    #: In-sim resilience services (all off by default; see
-    #: :class:`ResilienceConfig` and :mod:`repro.resilience`).  With
-    #: every flag off the service layer is never installed.
+    #: In-sim resilience services (off by default; see
+    #: :class:`ResilienceConfig` and :mod:`repro.resilience`).
     resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Workload RNG seed (the machine itself uses no randomness).
     seed: int = 0
@@ -269,13 +220,6 @@ class MachineConfig:
             raise ConfigError("page geometry must be positive")
         if self.poll_interval < 1:
             raise ConfigError("poll_interval must be >= 1")
-        if self.server_inbox_limit is not None \
-                and self.server_inbox_limit < 1:
-            raise ConfigError("server_inbox_limit must be >= 1 (or None)")
-        if self.server_inbox_policy not in ("defer", "shed"):
-            raise ConfigError(
-                f"server_inbox_policy must be 'defer' or 'shed', "
-                f"got {self.server_inbox_policy!r}")
         self.bus_faults.validate()
         self.resilience.validate()
         return self

@@ -42,7 +42,7 @@ from ..paging.store import PageStore
 from ..fs.shadowfs import ShadowFS
 from ..programs.program import Program
 from ..recovery.detector import schedule_detection
-from ..resilience.layer import install_services
+from ..resilience.heartbeat import HeartbeatMonitor
 from ..servers import (TtyDevice, make_file_server_harness,
                        make_page_server_harness, make_raw_server_harness,
                        make_tty_server_harness, register_server_actions)
@@ -101,10 +101,14 @@ class Machine:
         #: :meth:`close` detaches them from the trace.
         self.injectors: list = []
         self._closed = False
-        # Same post-construction idiom as the bus fault layer: with every
-        # service disabled this is None, no hook fires, and the machine's
-        # traces stay byte-identical to a build without the layer.
-        self.resilience = install_services(self)
+        # Same post-construction idiom as the bus fault layer: with the
+        # service off this is None, no hook fires, and the machine's
+        # traces stay byte-identical to a build without it.
+        self.heartbeat = None
+        if self.config.resilience.heartbeat:
+            self.heartbeat = HeartbeatMonitor(self, self.config.resilience)
+            for kernel in self.kernels:
+                kernel.heartbeat = self.heartbeat
         self._boot_servers()
 
     # ------------------------------------------------------------------
@@ -182,7 +186,7 @@ class Machine:
         """Take the finished machine apart so refcounting frees it.
 
         Drops the pending events, detaches the bus, clusters, kernels,
-        schedulers, resilience layer and fault injectors from one
+        schedulers, heartbeat monitor and fault injectors from one
         another, and lets go of all of them.  Call it once the results
         have been read: ``config``, ``metrics``, ``trace``, ``exits``,
         ``exit_times``, ``tty_output()`` and ``sim.now`` stay readable,
@@ -204,7 +208,7 @@ class Machine:
         self.injectors = []
         self.clusters = []
         self.kernels = []
-        self.bus = self.resilience = None
+        self.bus = self.heartbeat = None
 
     def _check_open(self) -> None:
         if self._closed:
@@ -294,8 +298,8 @@ class Machine:
             self._crashed.add(cluster_id)
             self.clusters[cluster_id].crash()
             schedule_detection(self.kernels, cluster_id)
-            if self.resilience is not None:
-                self.resilience.on_crash(cluster_id)
+            if self.heartbeat is not None:
+                self.heartbeat.on_crash(cluster_id)
 
         if at is None:
             do_crash()
@@ -358,8 +362,7 @@ class Machine:
         fresh.on_exit = self._record_exit
         fresh.on_fatal = self._on_fatal_hardware
         register_server_actions(fresh)
-        if self.resilience is not None:
-            self.resilience.attach_kernel(fresh)
+        fresh.heartbeat = self.heartbeat
         self.kernels[cluster_id] = fresh
         self.directory.mark_restored(cluster_id)
         self.trace.emit(self.sim.now, "cluster.restore",

@@ -18,7 +18,7 @@ Example::
 
     from repro.faults.exhaustive import sweep
 
-    result = sweep("pipeline", services=("heartbeat", "dlq"))
+    result = sweep("pipeline", services=("heartbeat",))
     print(result.cells, result.cells_per_s)
     assert not result.failures, result.failures
 """

@@ -139,10 +139,11 @@ class ClusterKernel:
         #: machine converts it into a clean whole-cluster crash.
         self.on_fatal: Optional[Callable[[ClusterId, str], None]] = None
         self.server_registry: Dict[Pid, Any] = {}   # pid -> server harness
-        #: The machine's resilience service layer (repro.resilience),
+        #: The machine's heartbeat monitor (repro.resilience.heartbeat),
         #: installed post-construction like the bus fault layer; None when
-        #: every service is disabled so no hook below fires.
-        self.resilience = None
+        #: the service is off.  Its probe/ack traffic arrives on the
+        #: CRASH_NOTICE kernel leg, the kernel's only service hook.
+        self.heartbeat = None
         self._next_pid = 1
         self._next_chan = 1
         self._next_msg = 1
@@ -600,32 +601,8 @@ class ClusterKernel:
         pcb = self.pcbs.get(pid)
         is_server = (pid in self.server_registry
                      or (pcb is not None and pcb.is_server))
-        if self.resilience is not None \
-                and self.resilience.check_duplicate(self, message, delivery):
-            return
-        queued = QueuedMessage(message, seqno, self.sim.now)
-        # Queue-based load leveling (off by default): a bounded server
-        # inbox either parks overflow in arrival order ("defer", drained
-        # as the server consumes) or drops it ("shed", lossy — the
-        # DEST_BACKUP copy still exists; see docs/performance.md).
-        limit = self.config.server_inbox_limit
-        if limit is not None and is_server and not entry.kernel_internal \
-                and (len(entry.queue) >= limit if self.resilience is None
-                     else self.resilience.inbox_full(self, entry, limit)):
-            if self.config.server_inbox_policy == "shed":
-                self.metrics.incr("inbox.shed")
-                if self.resilience is not None:
-                    self.resilience.on_shed(self, message, delivery)
-                return
-            entry.overflow.append(queued)
-            self.metrics.incr("inbox.deferred")
-            self.metrics.record_hist("queue.overflow_depth",
-                                     len(entry.overflow))
-            return
         queue = entry.queue
-        queue.append(queued)
-        if self.resilience is not None:
-            self.resilience.note_accepted(self, message, delivery)
+        queue.append(QueuedMessage(message, seqno, self.sim.now))
         self._mcounters["msg.delivered_primary"] += 1
         (self._record_depth_server if is_server
          else self._record_depth_user)(len(queue))
@@ -689,8 +666,8 @@ class ClusterKernel:
             # Baseline detection is poll-based (repro.recovery.detector);
             # when the heartbeat service is on, this leg also carries its
             # probe/ack verification traffic (repro.resilience.heartbeat).
-            if self.resilience is not None:
-                self.resilience.on_kernel_notice(self, message)
+            if self.heartbeat is not None:
+                self.heartbeat.on_notice(self, payload)
         else:
             rollforward.handle_kernel_payload(self, payload)
 
@@ -818,12 +795,6 @@ class ClusterKernel:
                 return None
             fd, entry = best_fd, best_entry
         queued = entry.queue.pop(0)
-        if entry.overflow:
-            # Load leveling: consuming one message admits the oldest
-            # deferred one; overflow seqnos all exceed queued seqnos, so
-            # appending keeps the queue sorted by arrival.
-            entry.queue.append(entry.overflow.pop(0))
-            self.metrics.incr("inbox.resumed")
         entry.reads_since_sync += 1
         entry.changed_since_sync = True
         pcb.reads_since_sync += 1

@@ -73,11 +73,6 @@ class RoutingEntry:
     #: Entry created since last sync (reported as an "opened" delta).
     opened_since_sync: bool = True
     queue: List[QueuedMessage] = field(default_factory=list)
-    #: Deferred arrivals parked by the bounded-inbox policy
-    #: (``MachineConfig.server_inbox_limit``), in arrival order; drained
-    #: back into ``queue`` as the owner consumes.  Always empty with the
-    #: policy off (the default).
-    overflow: List[QueuedMessage] = field(default_factory=list)
     #: On primary entries: reads performed since last sync (reported in the
     #: sync message so the backup can trim its saved queue).
     reads_since_sync: int = 0

@@ -1,33 +1,23 @@
-"""Resilience service layer: registry-driven in-sim services
-(heartbeat detection, bulkhead, dead-letter queue, idempotent receiver)
-layered over the kernel and server paths.
+"""Resilience service layer: registry-driven in-sim services over the
+kernel.  Heartbeat crash detection is the one service.
 
-Everything here is off by default — :func:`install_services` returns
-``None`` unless :class:`~repro.config.ResilienceConfig` enables at least
-one service, and a machine without the layer behaves byte-identically to
-one built before this package existed.
+It is off by default — :class:`~repro.core.machine.Machine` builds a
+:class:`HeartbeatMonitor` only when
+:class:`~repro.config.ResilienceConfig` turns it on, and a machine
+without it behaves byte-identically to one built before this package
+existed.
 """
 
-from .bulkhead import BulkheadLayer
-from .dlq import DeadLetter, DeadLetterLayer
 from .heartbeat import HeartbeatMonitor
-from .idempotent import IdempotentReceiver
-from .layer import ResilienceServices, install_services
 from .registry import (SERVICE_REGISTRY, ServiceSpec, apply_services,
                        register_service, resilience_services_markdown,
                        service_names)
 
 __all__ = [
-    "BulkheadLayer",
-    "DeadLetter",
-    "DeadLetterLayer",
     "HeartbeatMonitor",
-    "IdempotentReceiver",
-    "ResilienceServices",
     "SERVICE_REGISTRY",
     "ServiceSpec",
     "apply_services",
-    "install_services",
     "register_service",
     "resilience_services_markdown",
     "service_names",

@@ -1,7 +1,7 @@
 """The resilience-service registry: named in-sim services scenarios toggle.
 
 Each entry describes one service of the resilience layer
-(:mod:`repro.resilience.layer`): the :class:`~repro.config.ResilienceConfig`
+(:mod:`repro.resilience`): the :class:`~repro.config.ResilienceConfig`
 flag that enables it, the tunable knobs it exposes to the scenario DSL's
 ``services:`` block, and a one-line description the generated
 ``docs/resilience.md`` table is pinned to.  The registry reuses the same
@@ -13,7 +13,7 @@ did-you-mean diagnostics work unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping
+from typing import Mapping
 
 from ..config import ResilienceConfig
 from ..scenario.registry import EntryMetadata, ParamSpec, Registry
@@ -69,7 +69,7 @@ def apply_services(config: ResilienceConfig,
 
 
 # ----------------------------------------------------------------------
-# the four built-in services
+# the built-in service
 # ----------------------------------------------------------------------
 
 _DEFAULTS = ResilienceConfig()
@@ -101,53 +101,4 @@ register_service(
             "horizon": _knob("heartbeat_horizon",
                              "ticks of beacon-loss modelling under a "
                              "degraded bus"),
-        }))
-
-register_service(
-    ServiceSpec(
-        name="bulkhead", flag="bulkhead",
-        knobs={"partitions": "bulkhead_partitions"}),
-    EntryMetadata(
-        description="partitions the bounded server inbox by client "
-                    "class (home cluster modulo partitions), so one "
-                    "flooding class exhausts only its own quota",
-        params={
-            "partitions": _knob("bulkhead_partitions",
-                                "number of client-class partitions"),
-        }))
-
-register_service(
-    ServiceSpec(
-        name="dlq", flag="dlq",
-        knobs={"limit": "dlq_limit",
-               "retry_after": "dlq_retry_after",
-               "max_retries": "dlq_max_retries"}),
-    EntryMetadata(
-        description="dead-letter queue capturing shed inbox arrivals "
-                    "and draining them back into the inbox with bounded "
-                    "retries",
-        params={
-            "limit": _knob("dlq_limit", "records retained per cluster"),
-            "retry_after": _knob("dlq_retry_after",
-                                 "ticks before a shed record is "
-                                 "redelivered"),
-            "max_retries": _knob("dlq_max_retries",
-                                 "redelivery attempts before a record "
-                                 "is declared dead"),
-        }))
-
-register_service(
-    ServiceSpec(
-        name="idempotent", flag="idempotent",
-        knobs={"window": "idempotent_window"}),
-    EntryMetadata(
-        description="idempotent-receiver guard: a second PRIMARY_DEST "
-                    "delivery of the same (source cluster, message "
-                    "seqno) to the same process is suppressed, catching "
-                    "duplicates that survive the bus layer's link-level "
-                    "suppression (e.g. re-sends after a failover)",
-        params={
-            "window": _knob("idempotent_window",
-                            "distinct message keys remembered per "
-                            "cluster"),
         }))

@@ -24,8 +24,7 @@ from .shapes import shape_config
 
 #: machine: keys copied straight onto MachineConfig when non-null.
 _MACHINE_PASSTHROUGH = ("sync_reads_threshold", "sync_time_threshold",
-                        "poll_interval", "server_sync_requests",
-                        "server_inbox_limit", "server_inbox_policy")
+                        "poll_interval", "server_sync_requests")
 
 #: bus: keys copied straight onto BusFaultConfig when non-null.
 _BUS_PASSTHROUGH = ("retry_limit", "backoff_base",

@@ -56,12 +56,6 @@ MACHINE_SPECS: Dict[str, ParamSpec] = {
     "server_sync_requests": ParamSpec(int,
                                       "server requests between syncs",
                                       default=None, nullable=True),
-    "server_inbox_limit": ParamSpec(int,
-                                    "bounded server-inbox depth",
-                                    default=None, nullable=True),
-    "server_inbox_policy": ParamSpec(str, "overflow policy",
-                                     default=None, nullable=True,
-                                     choices=("defer", "shed")),
     "seed": ParamSpec(int, "machine/workload RNG seed", default=0),
 }
 

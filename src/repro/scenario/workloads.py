@@ -8,8 +8,8 @@ machines so the invariants can compare them.
 
 The ``flood`` recipe is itself written as a plugin — two small
 programs defined *here*, registered like any third-party workload
-would be — and exists to prove the bounded-inbox backpressure knobs
-(``machine: server_inbox_limit/policy``) are reachable from the DSL.
+would be — and drives a server whose unread queue grows deep, the
+queue its backup must save in full (section 5.2).
 """
 
 from __future__ import annotations
@@ -218,7 +218,7 @@ register_workload(
 
 
 # ----------------------------------------------------------------------
-# the flood recipe (the backpressure smoke plugin)
+# the flood recipe (a plugin: a slow server with a deep queue)
 # ----------------------------------------------------------------------
 
 class _FloodProducer(StateProgram):
@@ -313,16 +313,14 @@ def _build_flood(machine: Machine, params: Dict[str, Any]) -> List[Pid]:
         channels = ["chan:scenario_flood"]
     else:
         channels = [f"chan:scenario_flood{i}" for i in range(producers)]
-    # The consumer is registered as a *server* process so the bounded
-    # server inbox (machine: server_inbox_limit/policy) applies to it.
+    # The consumer is registered as a *server* process, so its queue
+    # depth lands in the queue.depth.server gauge.
     server = kernel.create_process(
         _SlowServer(items=params["items"] * producers,
                     service=params["service"], channels=channels),
         BackupMode.QUARTERBACK, is_server=True)
     pids = [server.pid]
-    # One producer per channel, spread over the non-server clusters —
-    # with >1 producer the home clusters differ, which is what lets
-    # the bulkhead service partition them into separate inbox classes.
+    # One producer per channel, spread over the non-server clusters.
     for index, channel in enumerate(channels):
         pids.append(machine.spawn(
             _FloodProducer(items=params["items"], channel=channel),
@@ -334,7 +332,7 @@ register_workload(
     "flood", _build_flood,
     EntryMetadata(
         description="unpaced producer(s) overrunning a slow server: "
-                    "the bounded-inbox backpressure smoke",
+                    "a deep unread server queue",
         params={
             "items": ParamSpec(int, "items flooded per producer",
                                default=10),

@@ -1,18 +1,14 @@
-"""Per-request latency sampling, queue-depth gauges, and the bounded
-server inbox.
+"""Per-request latency sampling, queue-depth gauges, and a slow server
+flooded by an unpaced producer.
 
 The telemetry is metrics-only: latency and depth samples feed
 histograms, never the trace, so instrumented runs stay byte-identical
-to uninstrumented ones.  The bounded inbox is an experiment knob that
-defaults off; with ``defer`` it parks overflow arrivals outside the
-queue and drains them in seqno order (observationally free), with
-``shed`` it drops them (lossy by design — the paper's backup copy still
-exists, which is the experiment the knob enables).
+to uninstrumented ones.  A server inbox is unbounded: every unread
+arrival stays queued at the primary, and its backup saves the same
+queue (section 5.2), so the flood builds depth and still drains.
 """
 
 from __future__ import annotations
-
-import pytest
 
 from repro.backup.modes import BackupMode
 from repro.programs.actions import Compute, Exit, Open, Read, Write
@@ -152,59 +148,14 @@ def test_latency_sampling_never_touches_the_trace():
                    for record in baseline.trace)
 
 
-# -- bounded server inbox -----------------------------------------------
+# -- flooded server inbox -----------------------------------------------
 
 
 def test_unbounded_flood_builds_server_queue():
     machine, server_pid = run_flood()
     depth = machine.metrics.histogram("queue.depth.server")
-    assert depth.maximum >= 5  # the overrun the limit exists to cap
+    assert depth.maximum >= 5  # the producer overruns the server
     assert machine.exits[server_pid] == 0
-
-
-def test_defer_policy_is_observationally_free():
-    baseline, baseline_pid = run_flood()
-    bounded, server_pid = run_flood(server_inbox_limit=3,
-                                    server_inbox_policy="defer")
-    # Deferral parks overflow outside the queue and drains it in seqno
-    # order: every item is still consumed, both sides still exit.
-    assert bounded.exits[server_pid] == 0
-    assert bounded.exits.keys() == baseline.exits.keys()
-    assert bounded.metrics.counter("inbox.deferred") > 0
-    assert bounded.metrics.counter("inbox.resumed") == \
-        bounded.metrics.counter("inbox.deferred")
-    depth = bounded.metrics.histogram("queue.depth.server")
-    assert depth.maximum <= 3
-    assert bounded.metrics.histogram("queue.overflow_depth").count > 0
-
-
-def test_shed_policy_drops_overflow_with_counter():
-    bounded, server_pid = run_flood(server_inbox_limit=3,
-                                    server_inbox_policy="shed")
-    shed = bounded.metrics.counter("inbox.shed")
-    assert shed > 0
-    assert bounded.metrics.counter("inbox.deferred") == 0
-    # Lossy by design: the consumer expected every item and is still
-    # blocked reading — the shed messages never arrive.
-    assert server_pid not in bounded.exits
-    depth = bounded.metrics.histogram("queue.depth.server")
-    assert depth.maximum <= 3
-
-
-def test_inbox_limit_off_by_default():
-    machine = run_bank()
-    assert machine.config.server_inbox_limit is None
-    assert machine.metrics.counter("inbox.deferred") == 0
-    assert machine.metrics.counter("inbox.shed") == 0
-
-
-def test_inbox_config_validation():
-    from repro.config import ConfigError, MachineConfig
-    with pytest.raises(ConfigError):
-        MachineConfig(server_inbox_limit=0).validate()
-    with pytest.raises(ConfigError):
-        MachineConfig(server_inbox_limit=4,
-                      server_inbox_policy="bounce").validate()
 
 
 # -- bus utilization gauge ----------------------------------------------

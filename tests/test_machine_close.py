@@ -76,15 +76,14 @@ def _degraded_bus() -> Machine:
 
 
 def _every_service() -> Machine:
-    config = MachineConfig(n_clusters=3, server_inbox_limit=4)
-    config.resilience = ResilienceConfig(
-        heartbeat=True, bulkhead=True, dlq=True, idempotent=True)
+    config = MachineConfig(n_clusters=3)
+    config.resilience = ResilienceConfig(heartbeat=True)
     config.bus_faults = BusFaultConfig(loss_rate=0.05, seed=5)
     machine = Machine(config)
     build_bank_workload(machine, n_clients=3, txns_per_client=6)
     machine.crash_cluster(2, at=15_000)
     machine.run_until_idle()
-    assert machine.resilience is not None
+    assert machine.heartbeat is not None
     return machine
 
 
@@ -96,6 +95,8 @@ def test_closed_machine_is_freed_without_the_collector(no_gc, build):
         machine, machine.kernels[0], machine.kernels[0].scheduler,
         machine.kernels[1], machine.clusters[1].executive, machine.bus,
         machine.sim, machine.trace, machine.page_harness)]
+    if machine.heartbeat is not None:
+        probes.append(weakref.ref(machine.heartbeat))
     machine.close()
     del machine
     assert [probe() for probe in probes] == [None] * len(probes)

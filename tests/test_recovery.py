@@ -8,8 +8,11 @@ identical to a failure-free run — no lost work, no duplicated output.
 import pytest
 
 from repro import BackupMode, MachineConfig
+from repro.faults.injector import FaultInjector, TracePoint
+from repro.scenario.workloads import _FloodProducer, _SlowServer
 from repro.workloads import (ForkParentProgram, PingProgram, PongProgram,
                              TtyWriterProgram)
+from repro.workloads.generator import observable
 from tests.conftest import make_machine
 
 
@@ -146,6 +149,60 @@ def test_exits_before_crash_not_replayed():
     machine.run_until_idle(max_events=5_000_000)
     assert machine.tty_output() == lines_before
     assert machine.metrics.counter("recovery.promotions") == 0
+
+
+def _flooded_fullback(backup_crash_at=None):
+    """A fullback flood server (60 items, 3,000 ticks each) on cluster 1
+    of 4, its backup on cluster 2, its producer on cluster 3.  With
+    ``backup_crash_at`` set, cluster 2 crashes then, the crash handler
+    re-protects the server on cluster 3 with a full sync, and cluster 1
+    crashes 3,000 ticks after that sync lands.  Returns the machine, the
+    server's pid and the saved/unread arrival seqnos at the landing."""
+    machine = make_machine(n_clusters=4, trace=True)
+    server = machine.kernels[1].create_process(
+        _SlowServer(items=60, service=3_000), BackupMode.FULLBACK,
+        is_server=True)
+    machine.spawn(_FloodProducer(items=60, channel="chan:scenario_flood"),
+                  cluster=3)
+    assert server.backup_cluster == 2
+    landing = {}
+
+    def seqnos(kernel, is_backup):
+        return {queued.arrival_seqno
+                for entry in kernel.routing.entries_for_pid(server.pid)
+                if entry.is_backup is is_backup
+                for queued in entry.queue}
+
+    def sync_landed(record):
+        landing["unread"] = seqnos(machine.kernels[1], is_backup=False)
+        landing["saved"] = seqnos(machine.kernels[3], is_backup=True)
+        machine.crash_cluster(1, at=record.time + 3_000)
+
+    if backup_crash_at is not None:
+        machine.crash_cluster(2, at=backup_crash_at)
+        FaultInjector(machine).on(
+            TracePoint("sync.applied", 1,
+                       (("pid", server.pid), ("cluster", 3)),
+                       after=backup_crash_at),
+            sync_landed)
+    machine.run_until_idle(max_events=5_000_000)
+    return machine, server.pid, landing
+
+
+@pytest.mark.parametrize("backup_crash_at", [10_000, 20_000, 30_000])
+def test_reprotected_fullback_backup_saves_every_unread_arrival(
+        backup_crash_at):
+    """Sequential faults on a flooded fullback server: losing its backup
+    cluster re-protects it with a full sync, whose saved queue must hold
+    every message the primary has not read (sections 5.1-5.2), so the
+    backup promoted by the second crash replays them all."""
+    baseline, _, _ = _flooded_fullback()
+    machine, server_pid, landing = _flooded_fullback(backup_crash_at)
+    assert len(landing["unread"]) > 2    # the flood is deep at the sync
+    assert landing["saved"] >= landing["unread"]
+    assert machine.metrics.counter("recovery.promotions") >= 1
+    assert machine.exits.get(server_pid) == 0
+    assert observable(machine) == observable(baseline)
 
 
 @pytest.mark.xfail(

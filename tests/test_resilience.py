@@ -2,15 +2,14 @@
 
 Three layers of coverage:
 
-* **byte identity** — with every service disabled the layer is never
-  installed and the fault campaign's report is byte-identical to the
+* **byte identity** — with the service off no monitor is ever
+  built and the fault campaign's report is byte-identical to the
   pinned pre-resilience artifact (the PR's hard constraint);
 * **detector races** — heartbeat and poll detection funnel into the
   same idempotent crash handling (no double promotion whichever wins),
-  bus-loss false positives are refuted without promoting anyone, and
-  the idempotent guard suppresses duplicate replays after failover;
-* **service units** — bulkhead partitioning, DLQ eviction/death,
-  registry validation and the docs drift gate.
+  and bus-loss false positives are refuted without promoting anyone;
+* **plumbing** — registry validation, the ``services:`` block and the
+  docs drift gate.
 """
 
 from __future__ import annotations
@@ -18,15 +17,12 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 from repro import BackupMode, Machine, MachineConfig
 from repro.config import BusFaultConfig, ConfigError, ResilienceConfig
 from repro.faults.campaign import run_campaign
-from repro.messages.message import (Delivery, DeliveryRole, Message,
-                                    MessageKind)
 from repro.resilience.registry import (SERVICE_REGISTRY, apply_services,
                                        resilience_services_markdown,
                                        service_names)
@@ -54,9 +50,8 @@ def resilient_machine(n_clusters=3, trace=False, bus=None, services=None,
 # registry and docs drift gate
 # ----------------------------------------------------------------------
 
-def test_registry_lists_the_four_services():
-    assert tuple(service_names()) == ("heartbeat", "bulkhead", "dlq",
-                                      "idempotent")
+def test_registry_lists_heartbeat_only():
+    assert tuple(service_names()) == ("heartbeat",)
 
 
 def test_docs_table_matches_registry():
@@ -82,8 +77,21 @@ def test_every_service_documents_every_knob():
 def test_disabled_config_installs_no_layer():
     machine = Machine(MachineConfig(n_clusters=3,
                                     trace_enabled=False).validate())
-    assert machine.resilience is None
-    assert all(kernel.resilience is None for kernel in machine.kernels)
+    assert machine.heartbeat is None
+    assert all(kernel.heartbeat is None for kernel in machine.kernels)
+
+
+def test_every_kernel_shares_the_monitor_across_a_restore():
+    """The monitor is built once per machine and held as
+    ``kernel.heartbeat`` by every kernel, the one a restore creates
+    included."""
+    machine = resilient_machine(services={"heartbeat": True})
+    monitor = machine.heartbeat
+    assert monitor is not None
+    assert all(kernel.heartbeat is monitor for kernel in machine.kernels)
+    machine.crash_cluster(1)
+    machine.restore_cluster(1)
+    assert machine.kernels[1].heartbeat is monitor
 
 
 def test_campaign_byte_identical_with_services_disabled():
@@ -191,154 +199,17 @@ def test_bus_ack_loss_false_positives_never_promote():
 
 
 # ----------------------------------------------------------------------
-# idempotent guard: duplicate replay after failover
-# ----------------------------------------------------------------------
-
-def test_idempotent_guard_suppresses_duplicate_replay():
-    """Replay an already accepted DATA delivery with a fresh arrival
-    seqno (what a re-send after failover looks like below the
-    link-level suppressor): the guard drops it, output is unchanged."""
-    baseline = _crashed_writer(crash_at=None)
-
-    machine = resilient_machine(trace=True,
-                                services={"idempotent": True})
-    machine.spawn(TtyWriterProgram(lines=12, tag="a", compute=2_000),
-                  cluster=2, sync_reads_threshold=3)
-    captured = {}
-    for kernel in machine.kernels:
-        original = kernel.handle_delivery
-
-        def wrapper(message, delivery, seqno, _original=original,
-                    _kernel=kernel):
-            if ("message" not in captured
-                    and message.kind is MessageKind.DATA
-                    and delivery.role is DeliveryRole.PRIMARY_DEST):
-                captured["message"] = (message, delivery, _kernel)
-
-                def replay():
-                    msg, dlv, k = captured["message"]
-                    k.handle_delivery(msg, dlv,
-                                      k.cluster.next_arrival_seqno())
-
-                machine.sim.call_after(2_000, replay,
-                                       label="test_duplicate_replay")
-            _original(message, delivery, seqno)
-
-        kernel.handle_delivery = wrapper
-    machine.run_until_idle(max_events=5_000_000)
-    assert "message" in captured
-    assert machine.metrics.counter(
-        "resilience.idempotent.suppressed") == 1
-    assert machine.tty_output() == baseline.tty_output()
-    assert machine.exits == baseline.exits
-
-
-def test_idempotent_guard_does_not_suppress_dlq_redelivery():
-    """A shed arrival was never accepted, so its DLQ redelivery must
-    not look like a duplicate: both services on, everything the inbox
-    shed is redelivered and nothing is suppressed."""
-    outcome = _run_example("dlq-drain.yaml",
-                           extra_services={"idempotent": {}})
-    assert outcome.passed, outcome.as_dict()
-    counters = outcome.counters
-    assert counters["resilience.dlq.redelivered"] >= 1
-    assert counters.get("resilience.idempotent.suppressed", 0) == 0
-
-
-def _run_example(name, extra_services=None):
-    from repro.scenario import yamlite
-    from repro.scenario.runner import run_compiled
-
-    doc = yamlite.loads(
-        (ROOT / "examples" / "scenarios" / name).read_text())
-    for service, knobs in (extra_services or {}).items():
-        doc.setdefault("services", {})[service] = knobs
-    return run_compiled(compile_scenario(doc, source=name))
-
-
-# ----------------------------------------------------------------------
-# bulkhead partitioning (unit)
-# ----------------------------------------------------------------------
-
-def test_bulkhead_partition_is_home_cluster_modulo():
-    machine = resilient_machine(n_clusters=4,
-                                services={"bulkhead": True,
-                                          "bulkhead_partitions": 2})
-    bulkhead = machine.resilience.bulkhead
-    entry = lambda peer: SimpleNamespace(peer_cluster=peer)
-    assert bulkhead.partition_of(entry(0)) == 0
-    assert bulkhead.partition_of(entry(1)) == 1
-    assert bulkhead.partition_of(entry(2)) == 0
-    assert bulkhead.partition_of(entry(3)) == 1
-    assert bulkhead.partition_of(entry(None)) == 0
-
-
-# ----------------------------------------------------------------------
-# dead-letter queue capacity and death (unit)
-# ----------------------------------------------------------------------
-
-def _shed(dlq, kernel, msg_id, dst_pid=999):
-    """Hand ``dlq`` a shed arrival for ``dst_pid`` at ``kernel``."""
-    delivery = Delivery(kernel.cluster_id, DeliveryRole.PRIMARY_DEST,
-                        dst_pid, None)
-    message = Message(msg_id=msg_id, kind=MessageKind.DATA, src_pid=1,
-                      dst_pid=dst_pid, channel_id=None, payload=None,
-                      size_bytes=16, deliveries=(delivery,),
-                      src_cluster=0)
-    dlq.capture_shed(kernel, message, delivery)
-
-
-def test_dlq_evicts_oldest_beyond_limit():
-    machine = resilient_machine(services={"dlq": True, "dlq_limit": 2})
-    dlq = machine.resilience.dlq
-    for msg_id in range(3):
-        _shed(dlq, machine.kernels[0], msg_id)
-    assert dlq.depth(0) == 2
-    assert machine.metrics.counter("resilience.dlq.evicted") == 1
-    assert machine.metrics.counter("resilience.dlq.enqueued") == 3
-    # The survivors are the two youngest, in arrival order.
-    assert [r.message.msg_id for r in dlq.records[0]] == [1, 2]
-
-
-def test_dlq_shed_letter_dies_after_retry_budget():
-    """A letter whose destination pid never exists anywhere exhausts
-    its retries and is declared dead (not silently retried forever)."""
-    machine = resilient_machine(services={"dlq": True,
-                                          "dlq_retry_after": 1_000,
-                                          "dlq_max_retries": 2})
-    dlq = machine.resilience.dlq
-    _shed(dlq, machine.kernels[0], 7)
-    machine.run_until_idle()
-    assert machine.metrics.counter("resilience.dlq.dead") == 1
-    assert machine.metrics.counter("resilience.dlq.redelivered") == 0
-    assert dlq.records[0][0].dead
-
-
-def test_dlq_zero_retries_means_capture_only():
-    machine = resilient_machine(services={"dlq": True,
-                                          "dlq_max_retries": 0})
-    dlq = machine.resilience.dlq
-    _shed(dlq, machine.kernels[0], 7)
-    machine.run_until_idle()
-    assert machine.metrics.counter("resilience.dlq.enqueued") == 1
-    assert machine.metrics.counter("resilience.dlq.dead") == 0
-    assert dlq.depth(0) == 1
-
-
-# ----------------------------------------------------------------------
 # config plumbing: apply_services and the scenario services block
 # ----------------------------------------------------------------------
 
 def test_apply_services_sets_flags_and_knobs():
     config = apply_services(ResilienceConfig(), {
         "heartbeat": {"interval": 4_000, "miss_threshold": 2},
-        "dlq": {},
     })
-    assert config.heartbeat and config.dlq
-    assert not (config.bulkhead or config.idempotent)
+    assert config.heartbeat
     assert config.heartbeat_interval == 4_000
     assert config.heartbeat_miss_threshold == 2
-    assert config.dlq_retry_after == ResilienceConfig().dlq_retry_after
+    assert config.heartbeat_horizon == ResilienceConfig().heartbeat_horizon
 
 
 def test_apply_services_rejects_unknown_service():
@@ -358,16 +229,15 @@ def test_scenario_services_block_round_trips():
         "scenario": "svc",
         "workload": {"recipe": "tty", "params": {"writers": 1,
                                                  "lines": 2}},
-        "services": {"dlq": {"limit": 5},
-                     "idempotent": {}},
+        "services": {"heartbeat": {"interval": 4_000}},
     }
     compiled = compile_scenario(doc, source="unit")
     # Defaults are filled in for every knob of every named service.
-    assert compiled.services["dlq"]["limit"] == 5
-    assert compiled.services["dlq"]["retry_after"] \
-        == ResilienceConfig().dlq_retry_after
-    assert compiled.services["idempotent"]["window"] \
-        == ResilienceConfig().idempotent_window
+    assert compiled.services["heartbeat"]["interval"] == 4_000
+    assert compiled.services["heartbeat"]["miss_threshold"] \
+        == ResilienceConfig().heartbeat_miss_threshold
+    assert compiled.services["heartbeat"]["horizon"] \
+        == ResilienceConfig().heartbeat_horizon
     reparsed = compile_scenario(
         yamlite.loads(compiled.canonical_yaml()), source="rt")
     assert reparsed.canonical() == compiled.canonical()
@@ -379,5 +249,5 @@ def test_scenario_services_reject_unknown_knob():
         compile_scenario({
             "scenario": "svc",
             "workload": {"recipe": "tty", "params": {}},
-            "services": {"dlq": {"limt": 5}},
+            "services": {"heartbeat": {"intervl": 5}},
         })

@@ -9,6 +9,7 @@ import pathlib
 
 import pytest
 
+from repro.config import MachineConfig, ResilienceConfig
 from repro.faults import CampaignPlan
 from repro.faults.kinds import FAULT_REGISTRY, fault_kinds_markdown
 from repro.scenario import yamlite
@@ -161,8 +162,9 @@ def test_schema_rejects_unknown_fault_param():
 def test_schema_rejects_bad_enum_value():
     with pytest.raises(SchemaError) as err:
         validate_scenario(_base_doc(
-            machine={"server_inbox_policy": "defr"}))
-    assert "did you mean 'defer'?" in str(err.value)
+            workload={"recipe": "pipeline",
+                      "params": {"mode": "fulback"}}))
+    assert "did you mean 'fullback'?" in str(err.value)
 
 
 def test_schema_sweep_and_fault_are_exclusive():
@@ -177,7 +179,7 @@ def test_schema_sweep_and_fault_are_exclusive():
 def test_schema_sweep_rejects_campaign_owned_knobs():
     with pytest.raises(SchemaError) as err:
         validate_scenario({"scenario": "t", "sweep": {"seeds": 2},
-                           "machine": {"server_inbox_limit": 4}})
+                           "machine": {"poll_interval": 4}})
     assert "sweep mode" in str(err.value)
     with pytest.raises(SchemaError) as err:
         validate_scenario({"scenario": "t", "sweep": {"seeds": 2},
@@ -196,11 +198,17 @@ def test_schema_missing_required_param_names_it():
 
 
 def test_compile_round_trips_through_canonical_yaml():
-    for path in sorted(CORPUS.glob("*.yaml")):
-        compiled = load_scenario(str(path))
+    every_machine_key = _base_doc(machine={
+        "shape": "quad", "clusters": 5, "sync_reads_threshold": 4,
+        "sync_time_threshold": 90_000, "poll_interval": 30_000,
+        "server_sync_requests": 8, "seed": 3})
+    docs = [(path.name, yamlite.loads(path.read_text()))
+            for path in sorted(CORPUS.glob("*.yaml"))]
+    for name, doc in docs + [("every-machine-key", every_machine_key)]:
+        compiled = compile_scenario(doc, source=name)
         reparsed = compile_scenario(
             yamlite.loads(compiled.canonical_yaml()), source="rt")
-        assert reparsed.canonical() == compiled.canonical(), path.name
+        assert reparsed.canonical() == compiled.canonical(), name
 
 
 def test_compile_sweep_builds_campaign_plan():
@@ -233,9 +241,9 @@ def test_corpus_validates_and_covers_every_fault_kind():
 
 
 def test_corpus_includes_backpressure_smokes():
-    names = {load_scenario(path).name
-             for path in scenario_files(str(CORPUS))}
-    assert {"smoke-inbox-defer", "smoke-inbox-shed"} <= names
+    recipes = {load_scenario(path).workload_recipe
+               for path in scenario_files(str(CORPUS))}
+    assert "flood" in recipes
 
 
 # -- the byte-identity gate -------------------------------------------
@@ -325,25 +333,38 @@ def test_runner_turns_schema_errors_into_failed_outcomes(tmp_path):
 def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
     """Documents naming retired features fail ``scenario validate``
     against the file with exit 2 and no traceback: the simulator has one
-    engine, so an ``engine:`` section is an unknown top-level key, and a
-    retired resilience service is unknown to the services registry."""
+    engine, so an ``engine:`` section is an unknown top-level key; server
+    inboxes are unbounded, so the inbox knobs are unknown machine keys;
+    and a retired resilience service is unknown to the services
+    registry.  The retired config fields are gone from the dataclasses
+    too."""
     from repro.cli import main
 
     cases = {
         "engine.yaml": ("engine:\n  queue: ladder\n",
                         "unknown top-level key 'engine'"),
-        "breaker.yaml": ("services:\n  breaker:\n",
-                         "services: unknown resilience service 'breaker'; "
-                         "known: heartbeat, bulkhead, dlq, idempotent"),
+        "limit.yaml": ("machine:\n  server_inbox_limit: 2\n",
+                       "machine: unknown key 'server_inbox_limit'"),
+        "policy.yaml": ("machine:\n  server_inbox_policy: defer\n",
+                        "machine: unknown key 'server_inbox_policy'"),
     }
+    for service in ("breaker", "bulkhead", "dlq", "idempotent"):
+        cases[f"{service}.yaml"] = (
+            f"services:\n  {service}:\n",
+            f"services: unknown resilience service '{service}'; "
+            f"known: heartbeat")
     for name, (section, error) in cases.items():
         path = tmp_path / name
         path.write_text("scenario: old\nworkload:\n  recipe: pipeline\n"
                         + section)
         assert main(["scenario", "validate", str(path)]) == 2
         out = capsys.readouterr().out
-        assert f"{path}: {error}" in out
+        assert f"{path}: {error}" in out, name
         assert "Traceback" not in out
+    with pytest.raises(TypeError):
+        ResilienceConfig(dlq=True)
+    with pytest.raises(TypeError):
+        MachineConfig(server_inbox_limit=2)
 
 
 def test_scenario_list_shows_the_services_registry(capsys):
@@ -360,7 +381,7 @@ def test_scenario_list_shows_the_services_registry(capsys):
     assert listed == list(SERVICE_REGISTRY.names())
     assert main(["scenario", "list", "--params"]) == 0
     out = capsys.readouterr().out
-    assert "    retry_after" in out and "default 20000" in out
+    assert "    interval" in out and "default 5000" in out
 
 
 # -- plugin registration end to end -----------------------------------
