@@ -3,13 +3,12 @@
 
 Validates either artifact kind:
 
-* A ``BENCH_core.json`` produced by ``repro bench`` — every workload
-  that serves requests (oltp, pipeline, fault-campaign) must carry a
-  ``latency.request.p99``; the ``latency_under_fault`` section, if
-  present, must have a non-null p99 per fault regime; and the
-  ``recovery_shootout`` section (F5), if present, must carry a non-null
-  request p99 for every (design, fault kind) cell plus both detection
-  latencies.
+* The ``BENCH_core.json`` experiment record (recognised by its
+  ``schema`` key) that the P2, F4 and F5 benchmarks merge into — the
+  ``latency_under_fault`` section (F4) must have a non-null p99 per
+  fault regime, and the ``recovery_shootout`` section (F5) must carry a
+  non-null request p99 for every (design, fault kind) cell plus both
+  detection latencies.  A missing section is a failure.
 * A campaign report JSON produced by ``repro campaign --json`` — the
   aggregate ``latency.request.p99`` and the per-fault-kind p99 curve
   must be present and non-null.
@@ -31,15 +30,8 @@ import json
 import sys
 from typing import Any, Dict, List
 
-#: Required latency series per bench workload.  oltp and the fault
-#: campaign serve Send/reply round trips ("request"); the pipeline
-#: streams items (its per-item latency is the read wait).  memory-churn
-#: has no steady message traffic, so it is deliberately absent.
-REQUIRED_SERIES = {
-    "oltp": ("request",),
-    "pipeline": ("read_wait", "queue_wait"),
-    "fault-campaign": ("request",),
-}
+#: The ``schema`` of a ``BENCH_core.json`` experiment record.
+BENCH_SCHEMA = "repro-bench/1"
 PERCENTILE_FIELDS = ("p50", "p90", "p99")
 
 
@@ -57,29 +49,24 @@ def _check_summary(summary: Any, where: str, errors: List[str]) -> None:
 def check_bench(data: Dict[str, Any], errors: List[str]
                 ) -> Dict[str, Any]:
     extracted: Dict[str, Any] = {"kind": "bench"}
-    workloads = data.get("workloads", {})
-    for name, series_names in REQUIRED_SERIES.items():
-        workload = workloads.get(name)
-        if workload is None:
-            errors.append(f"workloads.{name}: missing")
-            continue
-        latency = workload.get("latency") or {}
-        extracted[name] = {}
-        for series in series_names:
-            _check_summary(latency.get(series),
-                           f"workloads.{name}.latency.{series}", errors)
-            extracted[name][series] = latency.get(series)
     fault = data.get("latency_under_fault")
-    if fault is not None:
+    if not isinstance(fault, dict):
+        errors.append("latency_under_fault: missing")
+    else:
         curves = {}
-        for regime, entry in sorted(fault.get("regimes", {}).items()):
+        regimes = fault.get("regimes") or {}
+        if not regimes:
+            errors.append("latency_under_fault.regimes: missing or empty")
+        for regime, entry in sorted(regimes.items()):
             _check_summary(entry.get("request"),
                            f"latency_under_fault.{regime}.request",
                            errors)
             curves[regime] = (entry.get("request") or {}).get("p99")
         extracted["latency_under_fault_p99"] = curves
     shootout = data.get("recovery_shootout")
-    if shootout is not None:
+    if not isinstance(shootout, dict):
+        errors.append("recovery_shootout: missing")
+    else:
         extracted["recovery_shootout_p99"] = _check_shootout(
             shootout, errors)
     return extracted
@@ -149,13 +136,13 @@ def main(argv=None) -> int:
         return 1
 
     errors: List[str] = []
-    if "workloads" in data:
+    if data.get("schema") == BENCH_SCHEMA:
         extracted = check_bench(data, errors)
     elif "results" in data or "latency" in data:
         extracted = check_campaign(data, errors)
     else:
-        print(f"check_percentiles: {args.report} is neither a bench "
-              f"nor a campaign report", file=sys.stderr)
+        print(f"check_percentiles: {args.report} is neither a "
+              f"{BENCH_SCHEMA} record nor a campaign report", file=sys.stderr)
         return 1
 
     if args.extract:

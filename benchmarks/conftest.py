@@ -16,6 +16,10 @@ and section 2 comparisons).  Conventions:
 
 from __future__ import annotations
 
+import json
+import os
+from typing import Any, Dict
+
 import pytest
 
 from repro import Machine, MachineConfig
@@ -26,6 +30,27 @@ def quiet_machine(n_clusters: int = 3, **overrides) -> Machine:
     for key, value in overrides.items():
         setattr(config, key, value)
     return Machine(config.validate())
+
+
+#: The experiment record P2, F4 and F5 merge their sections into.
+BENCH_CORE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "BENCH_core.json")
+
+
+def record_section(name: str, section: Dict[str, Any]) -> None:
+    """Merge ``section`` into ``BENCH_core.json`` under ``name``, keeping
+    the sections the other experiments wrote."""
+    data: Dict[str, Any] = {}
+    try:
+        with open(BENCH_CORE) as handle:
+            data = json.load(handle)
+    except (OSError, ValueError):
+        pass
+    data["schema"] = "repro-bench/1"
+    data[name] = section
+    with open(BENCH_CORE, "w") as handle:
+        json.dump(data, handle, indent=2, sort_keys=True)
+        handle.write("\n")
 
 
 def run_once(benchmark, fn):

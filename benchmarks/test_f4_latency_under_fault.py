@@ -25,15 +25,12 @@ reproducible to the tick and the assertions hold on any host.
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro import BackupMode, Machine, MachineConfig
 from repro.config import BusFaultConfig
 from repro.metrics import format_table
 from repro.workloads import build_bank_workload
 
-from conftest import run_once
+from conftest import record_section, run_once
 
 CRASH_AT = 12_000
 N_CLIENTS = 2
@@ -120,27 +117,9 @@ def test_f4_latency_under_fault(benchmark, table_printer):
     assert base["p99"] < degraded["p99"] < crash["p99"] <= compound["p99"]
     assert failover["p99"] > degraded["p99"]
 
-    _record(curves)
-
-
-def _record(curves) -> None:
-    """Merge the latency-under-fault curves into BENCH_core.json."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_core.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data.setdefault("schema", "repro-bench/1")
-    data["latency_under_fault"] = {
+    record_section("latency_under_fault", {
         "workload": (f"oltp bank ({N_CLIENTS} clients x {TXNS} txns, "
                      f"3 clusters, fullback server)"),
         "unit": "virtual ticks",
         "regimes": curves,
-    }
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
+    })

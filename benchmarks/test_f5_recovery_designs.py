@@ -35,15 +35,12 @@ beat the 50k-tick poll — the acceptance number EXPERIMENTS.md quotes.
 
 from __future__ import annotations
 
-import json
-import os
-
 from repro import BackupMode, Machine, MachineConfig
 from repro.baselines.designs import DESIGN_ORDER, run_shootout
 from repro.metrics import format_table
 from repro.workloads import TtyWriterProgram
 
-from conftest import run_once
+from conftest import record_section, run_once
 
 KINDS = ("time_crash", "sync_crash", "transmission_crash", "proc_fail",
          "crash_restore", "bus_loss")
@@ -141,22 +138,7 @@ def test_f5_recovery_design_shootout(benchmark, table_printer):
     assert detection["heartbeat"] < detection["poll"]
     assert detection["heartbeat"] <= (HB_MISSES + 1) * HB_INTERVAL + 1_000
 
-    _record(result, detection)
-
-
-def _record(result, detection) -> None:
-    """Merge the shootout curves into BENCH_core.json."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_core.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data.setdefault("schema", "repro-bench/1")
-    data["recovery_shootout"] = {
+    record_section("recovery_shootout", {
         "workload": f"oltp bank (3 clients x {TXNS} txns, 3 clusters, "
                     f"fullback server)",
         "kinds": list(KINDS),
@@ -169,7 +151,4 @@ def _record(result, detection) -> None:
             "heartbeat_interval": HB_INTERVAL,
             "heartbeat_miss_threshold": HB_MISSES,
         },
-    }
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    })

@@ -11,11 +11,9 @@ second run of the same sweep into mostly cache hits.
 Methodology notes:
 
 * Speedup is measured in **wall clock** (``time.perf_counter``):
-  ``process_time`` cannot see CPU burned in worker processes (the same
-  reason ``repro bench --jobs`` switches timers).
+  ``process_time`` cannot see CPU burned in worker processes.
 * Pool spin-up (a fresh interpreter per worker) is construction, not
-  workload — pools are built and warmed outside the timed region, the
-  same way the serial harness builds machines outside it.
+  workload — pools are built and warmed outside the timed region.
 * Every timed parallel round gets a **fresh, cold cache directory**, so
   the recorded speedup is execution speedup, not cache reuse; the warm
   run is timed separately to quantify the cache on its own.
@@ -43,7 +41,7 @@ from repro.exec import CampaignPool, resolve_jobs
 from repro.faults import run_campaign
 from repro.metrics import format_table
 
-from conftest import run_once
+from conftest import record_section, run_once
 
 N_SEEDS = 24
 CPUS = os.cpu_count() or 1
@@ -167,36 +165,7 @@ def test_p2_parallel_campaign(benchmark, table_printer, tmp_path):
               f"(byte-identical reports, min of "
               f"{ROUNDS_SERIAL + extra} wall-clock rounds)"))
 
-    _record(t_serial, t_parallel, t_warm, speedup, measured_ratio,
-            hit_rate)
-    assert hit_rate > 0.0
-    if DEGRADED:
-        assert measured_ratio >= DEGRADED_FLOOR, (
-            f"degraded --jobs {JOBS} run measured {measured_ratio:.2f}x "
-            f"serial speed on {CPUS} CPU(s) — the in-process path must "
-            f"not cost more than serial (floor {DEGRADED_FLOOR}x)")
-    elif CPUS >= 4:
-        assert speedup >= THRESHOLD, (
-            f"parallel speedup {speedup:.2f}x below required "
-            f"{THRESHOLD}x on {CPUS} CPUs "
-            f"(serial {t_serial:.3f}s vs --jobs {JOBS} {t_parallel:.3f}s)")
-
-
-def _record(t_serial, t_parallel, t_warm, speedup, measured_ratio,
-            hit_rate) -> None:
-    """Merge the P2 numbers into BENCH_core.json next to the repo root
-    (creating it if ``repro bench`` has not run yet)."""
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "BENCH_core.json")
-    data = {}
-    if os.path.exists(path):
-        try:
-            with open(path) as handle:
-                data = json.load(handle)
-        except (OSError, ValueError):
-            data = {}
-    data.setdefault("schema", "repro-bench/1")
-    data["parallel_campaign"] = {
+    record_section("parallel_campaign", {
         "workload": f"fault-campaign ({N_SEEDS} seeds, 3 clusters)",
         "cpu_count": CPUS,
         "jobs_requested": JOBS,
@@ -212,7 +181,15 @@ def _record(t_serial, t_parallel, t_warm, speedup, measured_ratio,
             "warm_wall_seconds": round(t_warm, 6),
             "warm_hit_rate": round(hit_rate, 3),
         },
-    }
-    with open(path, "w") as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
+    })
+    assert hit_rate > 0.0
+    if DEGRADED:
+        assert measured_ratio >= DEGRADED_FLOOR, (
+            f"degraded --jobs {JOBS} run measured {measured_ratio:.2f}x "
+            f"serial speed on {CPUS} CPU(s) — the in-process path must "
+            f"not cost more than serial (floor {DEGRADED_FLOOR}x)")
+    elif CPUS >= 4:
+        assert speedup >= THRESHOLD, (
+            f"parallel speedup {speedup:.2f}x below required "
+            f"{THRESHOLD}x on {CPUS} CPUs "
+            f"(serial {t_serial:.3f}s vs --jobs {JOBS} {t_parallel:.3f}s)")

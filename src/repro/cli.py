@@ -13,10 +13,6 @@ Commands:
   JSON report; ``--jobs`` shards seeds across a process pool and
   ``--cache-dir`` memoizes failure-free reference runs (see
   ``docs/faults.md``).
-* ``bench``     — wall-clock throughput over the canonical workloads
-  (events/sec, messages/sec); writes ``BENCH_core.json`` and can fail
-  on regression against a committed baseline; ``--jobs``/``--timer``
-  cover the parallel campaign engine (see ``docs/performance.md``).
 * ``scenario``  — the declarative YAML scenario subsystem:
   ``scenario run`` executes a file or corpus directory (honoring
   ``--jobs`` and the reference cache), ``scenario validate``
@@ -220,65 +216,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     return 0 if failure is None and verified else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .bench import (BenchError, check_workload_names,
-                        compare_to_baseline, load_report, run_suite,
-                        write_report)
-
-    workloads = None
-    if args.workloads:
-        workloads = [name.strip() for name in args.workloads.split(",")
-                     if name.strip()]
-        try:
-            check_workload_names(workloads)
-        except BenchError as error:
-            print(error)
-            return 2
-    results = run_suite(quick=args.quick, rounds=args.rounds,
-                        workloads=workloads, timer=args.timer,
-                        jobs=args.jobs, cache_dir=args.cache_dir or None)
-    rows = []
-    for result in results:
-        mps = result.messages_per_sec
-        latency = result.latency or {}
-        series = latency.get("request") or latency.get("read_wait")
-        rows.append([
-            result.name, result.events, f"{result.wall_seconds:.4f}",
-            f"{result.events_per_sec:,.0f}",
-            f"{mps:,.0f}" if mps is not None else "-",
-            f"{series['p50']}/{series['p99']}" if series else "-",
-            result.timer,
-        ])
-    print(format_table(
-        ["workload", "events", "wall (s)", "events/sec", "messages/sec",
-         "p50/p99 (ticks)", "timer"],
-        rows, title="Core throughput"
-              + (" (--quick)" if args.quick else "")))
-    campaign = next((r for r in results if r.jobs_effective is not None),
-                    None)
-    if campaign is not None and campaign.jobs_requested \
-            and campaign.jobs_requested != campaign.jobs_effective:
-        print(f"fault-campaign: requested --jobs "
-              f"{campaign.jobs_requested}, ran with "
-              f"{campaign.jobs_effective} worker(s) after the CPU clamp")
-    if args.json:
-        write_report(results, args.json, quick=args.quick)
-        print(f"report written to {args.json}")
-    if args.baseline:
-        baseline = load_report(args.baseline)
-        regressions = compare_to_baseline(results, baseline,
-                                          threshold=args.threshold)
-        if regressions:
-            for name, current, base, drop in regressions:
-                print(f"REGRESSION {name}: {current:,.0f} events/sec vs "
-                      f"baseline {base:,.0f} (-{drop * 100:.0f}%, "
-                      f"threshold {args.threshold * 100:.0f}%)")
-            return 1
-        print(f"no regression beyond {args.threshold * 100:.0f}% vs "
-              f"{args.baseline}")
-    return 0
-
-
 def cmd_scenario_run(args: argparse.Namespace) -> int:
     from .scenario.runner import corpus_report, run_paths, scenario_files
 
@@ -413,32 +350,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                                "reference runs across seeds, workers "
                                "and invocations")
     campaign.set_defaults(fn=cmd_campaign)
-    bench = sub.add_parser("bench")
-    bench.add_argument("--quick", action="store_true",
-                       help="shrink workloads and rounds for a CI smoke run")
-    bench.add_argument("--rounds", type=int, default=None,
-                       help="timing rounds per workload (min is reported)")
-    bench.add_argument("--workloads", type=str, default="",
-                       help="comma-separated subset (default: all)")
-    bench.add_argument("--json", type=str, default="BENCH_core.json",
-                       help="write the report here ('' to skip)")
-    bench.add_argument("--baseline", type=str, default="",
-                       help="compare events/sec against this report")
-    bench.add_argument("--threshold", type=float, default=0.25,
-                       help="allowed fractional events/sec drop vs baseline")
-    bench.add_argument("--jobs", type=int, default=0,
-                       help="worker processes for the fault-campaign "
-                            "workload (default 0 = one per CPU; "
-                            "1 = serial)")
-    bench.add_argument("--cache-dir", type=str, default="",
-                       help="reference-cache directory for the "
-                            "fault-campaign workload")
-    bench.add_argument("--timer", choices=("auto", "process", "wall"),
-                       default="auto",
-                       help="auto = process_time, except wall clock for "
-                            "multi-process workloads (child CPU is "
-                            "invisible to process_time)")
-    bench.set_defaults(fn=cmd_bench)
     scenario = sub.add_parser(
         "scenario",
         help="declarative YAML scenarios (see docs/scenarios.md)")

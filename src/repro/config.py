@@ -171,9 +171,6 @@ class MachineConfig:
     page_size: int = 1024
     #: Words (integer cells) per page: programs address memory in words.
     words_per_page: int = 128
-    #: Default payload size (bytes) charged for a message when the sender
-    #: does not specify one.
-    default_message_bytes: int = 128
     #: Failure-detector polling interval (7.10: "periodic polling of every
     #: cluster will discover the shutdown").
     poll_interval: Ticks = 50_000

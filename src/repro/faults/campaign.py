@@ -316,7 +316,9 @@ def run_seed(seed: int, n_clusters: int = 3,
     memoizes the failure-free reference observable on disk
     (:class:`repro.exec.refcache.ReferenceCache`) — a hit skips the
     reference run entirely and cannot change any verdict, because the
-    observable is all the invariants consume from the reference.
+    observable is all the invariants consume from the reference.  A run
+    that raises anything but :class:`SimulationError` fails the seed
+    with that exception as a violation, and no invariant is checked.
     """
     root = DeterministicRNG(seed)
     workload_rng = root.fork("workload")
@@ -336,6 +338,9 @@ def run_seed(seed: int, n_clusters: int = 3,
         # cached), so the seed fails with the reason instead.
         baseline = None
         violations.append(f"reference run: {error}")
+    except Exception as error:
+        baseline = None
+        violations.append(f"reference run: {type(error).__name__}: {error}")
 
     faulted = Machine(plan_machine_config(plan, n_clusters, seed,
                                           loss_rate=loss_rate,
@@ -348,6 +353,10 @@ def run_seed(seed: int, n_clusters: int = 3,
         faulted.run_until_idle(max_events=max_events)
     except SimulationError as error:
         violations.append(f"simulation: {error}")
+    except Exception as error:
+        # The machine stopped mid-event: its state judges nothing.
+        violations.append(f"simulation: {type(error).__name__}: {error}")
+        baseline = None
     if baseline is not None:
         violations += check_scenario(baseline, faulted, plan.survivable,
                                      injector.crashes_delivered())

@@ -12,7 +12,10 @@ Then, for every (cluster, time) cell, it builds a fresh machine, crashes
 that cluster at that time, runs it until idle with tracing on, and
 judges the run with :func:`~repro.faults.invariants.check_scenario`: E8
 external equivalence, every process runnable, metrics agreeing with the
-trace.  Each machine is closed once judged.
+trace.  A cell whose run raises anything but the event-budget
+:class:`~repro.sim.events.SimulationError` fails with that one exception
+as its violation, unjudged, and the sweep goes on.  Each machine is
+closed once judged.
 
 Example::
 
@@ -107,13 +110,20 @@ def sweep(recipe: str, services: Sequence[str] = (),
             injector = FaultInjector(machine)
             injector.crash_at(cluster, when)
             violations: List[str] = []
+            judge = True
             try:
                 machine.run_until_idle(max_events=MAX_EVENTS)
             except SimulationError as error:
                 violations.append(f"simulation: {error}")
-            violations += check_scenario(
-                expected, machine, survivable=True,
-                injected_crashes=injector.crashes_delivered())
+            except Exception as error:
+                # The machine stopped mid-event: its state judges nothing.
+                violations.append(
+                    f"simulation: {type(error).__name__}: {error}")
+                judge = False
+            if judge:
+                violations += check_scenario(
+                    expected, machine, survivable=True,
+                    injected_crashes=injector.crashes_delivered())
             machine.close()
             result.cells += 1
             if violations:

@@ -41,6 +41,9 @@ class KernelError(Exception):
 #: Sentinel: let the directory's placement policy choose a backup cluster.
 AUTO_BACKUP = "auto"
 
+#: Payload size (bytes) charged for a message whose sender gives none.
+DEFAULT_MESSAGE_BYTES = 128
+
 
 #: Enum members read per message, as module constants: on CPython 3.11 a
 #: member load on an Enum class goes through ``EnumType``'s
@@ -485,8 +488,7 @@ class ClusterKernel:
         self._next_msg += 1
         return Message(
             msg_id, kind, pcb.pid, peer_pid, entry.channel_id, payload,
-            (size if size is not None
-             else self.config.default_message_bytes),
+            size if size is not None else DEFAULT_MESSAGE_BYTES,
             route[1], self.cluster_id, pcb.backup_cluster, nondet, route[2])
 
     def _send_page_channel(self, pcb: ProcessControlBlock,

@@ -90,7 +90,7 @@ class Simulator:
         the same counter as :meth:`call_at` / :meth:`call_after`, so a
         posted call orders against every other event exactly as a
         ``call_after`` in its place would.  Use those two when the caller
-        keeps the handle (see docs/performance.md, "Scheduling without
+        keeps the handle (see docs/performance-log.md, "Scheduling without
         handles").
         """
         if delay < 0:

@@ -9,6 +9,7 @@ service on keeps any such service from coming back unnoticed.
 
 from __future__ import annotations
 
+from repro import Machine
 from repro.faults.exhaustive import sweep
 from repro.resilience.registry import service_names
 
@@ -31,3 +32,36 @@ def test_sweep_reports_a_failing_cell():
     assert [(cluster, when) for cluster, when, _ in result.failures] \
         == [(0, 0), (1, 0)]
     assert all(violations for _, _, violations in result.failures)
+
+
+def test_sweep_reports_an_exception_in_a_cell_and_goes_on(monkeypatch):
+    """A cell whose run raises something other than the event-budget
+    ``SimulationError`` fails with that exception as its one violation,
+    unjudged; its machine is closed and the sweep runs every other
+    cell.  In this slice of ``tty`` the crashes of clusters 0 and 1
+    promote a writer's backup; the crash of cluster 2 promotes none."""
+    promoted = []
+
+    def refuse(kernel, record, crashed):
+        promoted.append(crashed)
+        raise RuntimeError("promotion refused")
+
+    closed = []
+    close = Machine.close
+
+    def counting_close(machine):
+        closed.append(machine)
+        close(machine)
+
+    monkeypatch.setattr("repro.recovery.rollforward.promote", refuse)
+    monkeypatch.setattr(Machine, "close", counting_close)
+    result = sweep("tty", start=4_000, end=6_000)
+    # 2 distinct trace times in [4,000, 6,000] x 3 clusters.
+    assert result.cells == 6
+    assert len(result.failures) == len(promoted) == 4
+    assert {cluster for cluster, _, _ in result.failures} \
+        == set(promoted) == {0, 1}
+    for _, _, violations in result.failures:
+        assert violations == ["simulation: RuntimeError: promotion refused"]
+    # The reference machine and all six cells' machines.
+    assert len(closed) == 7

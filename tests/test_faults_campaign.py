@@ -146,3 +146,32 @@ def test_reference_budget_exhaustion_is_a_violation_with_two_jobs(
     assert json.dumps(parallel.as_dict(), sort_keys=True) \
         == json.dumps(serial.as_dict(), sort_keys=True)
     assert list(tmp_path.iterdir()) == []
+
+
+def _refuse_promotion(kernel, record, crashed):
+    raise RuntimeError("promotion refused")
+
+
+def test_an_exception_in_the_faulted_run_is_a_violation(monkeypatch):
+    """Seed 7000 kills a process whose backup is promoted.  A run that
+    raises something other than ``SimulationError`` fails the seed with
+    that exception as its one violation, checks no invariant, and still
+    reports its plan, digest and trace tail."""
+    monkeypatch.setattr("repro.recovery.rollforward.promote",
+                        _refuse_promotion)
+    result = run_seed(7000)
+    assert not result.passed
+    assert result.violations == [
+        "simulation: RuntimeError: promotion refused"]
+    assert result.plan.startswith("proc_fail(")
+    assert result.digest and result.trace_tail
+
+
+def test_an_exception_in_the_reference_run_is_a_violation(monkeypatch):
+    def refuse(scenario, max_events, cache=None):
+        raise ValueError("no reference")
+
+    monkeypatch.setattr("repro.exec.refcache.reference_observable", refuse)
+    result = run_seed(7000)
+    assert not result.passed
+    assert result.violations == ["reference run: ValueError: no reference"]
