@@ -17,8 +17,8 @@ Commands:
   ``scenario run`` executes a file or corpus directory (honoring
   ``--jobs`` and the reference cache), ``scenario validate``
   schema-checks without running, ``scenario list`` shows every
-  registered workload recipe, fault kind, machine shape and invariant
-  check (see ``docs/scenarios.md``).
+  registered workload recipe, fault kind and resilience service (see
+  ``docs/scenarios.md``).
 
 Every command accepts ``--clusters N`` and ``--seed S`` where meaningful.
 """
@@ -283,9 +283,7 @@ def cmd_scenario_validate(args: argparse.Namespace) -> int:
 def cmd_scenario_list(args: argparse.Namespace) -> int:
     from .faults.kinds import FAULT_REGISTRY
     from .resilience.registry import SERVICE_REGISTRY
-    from .scenario.checks import CHECK_REGISTRY
     from .scenario.registry import Registry
-    from .scenario.shapes import SHAPE_REGISTRY
     from .scenario.workloads import WORKLOAD_REGISTRY
 
     def show(title: str, registry: Registry) -> None:
@@ -304,8 +302,6 @@ def cmd_scenario_list(args: argparse.Namespace) -> int:
 
     show("workload recipes (workload: recipe:)", WORKLOAD_REGISTRY)
     show("fault kinds (fault: kind: / sweep: kinds:)", FAULT_REGISTRY)
-    show("machine shapes (machine: shape:)", SHAPE_REGISTRY)
-    show("invariant checks (expect: invariants:)", CHECK_REGISTRY)
     show("resilience services (services:)", SERVICE_REGISTRY)
     return 0
 
@@ -375,9 +371,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                                         "directory")
     scenario_validate.set_defaults(fn=cmd_scenario_validate)
     scenario_list = scenario_sub.add_parser(
-        "list", help="list registered workload recipes, fault kinds, "
-                     "machine shapes, invariant checks and resilience "
-                     "services")
+        "list", help="list registered workload recipes, fault kinds "
+                     "and resilience services")
     scenario_list.add_argument("--params", action="store_true",
                                help="show each entry's parameter schema")
     scenario_list.set_defaults(fn=cmd_scenario_list)

@@ -35,6 +35,10 @@ import os
 import tempfile
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
+from ..config import MachineConfig
+from ..core.machine import Machine
+from ..faults.invariants import run_reference
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from ..workloads.generator import Scenario
 
@@ -198,19 +202,23 @@ class ReferenceCache:
 
 def reference_observable(scenario: "Scenario", max_events: int,
                          cache: Optional[ReferenceCache] = None
-                         ) -> Observable:
+                         ) -> Tuple[Optional[Observable], List[str]]:
     """The failure-free observable for a scenario: from the cache when
-    possible, from a live reference run otherwise (and then cached)."""
+    possible, from a live reference run otherwise (and then cached).
+    A failed live run gives no observable, its one ``reference run:``
+    violation, and no cache entry
+    (:func:`~repro.faults.invariants.run_reference`)."""
     key = None
     if cache is not None:
         key = cache.scenario_key(scenario, max_events)
         cached = cache.get(key)
         if cached is not None:
-            return cached
-    from ..workloads.generator import observable
-    baseline = scenario.run(max_events=max_events)
-    result = observable(baseline)
-    baseline.close()
-    if cache is not None and key is not None:
+            return cached, []
+    machine = Machine(MachineConfig(n_clusters=scenario.n_clusters,
+                                    trace_enabled=False))
+    scenario.build(machine)
+    result, violations = run_reference(machine, max_events)
+    machine.close()
+    if result is not None and key is not None:
         cache.put(key, result)
-    return result
+    return result, violations

@@ -9,7 +9,9 @@ Public surface:
 * :func:`run_seed` / :func:`run_campaign` — seeded scenario sweeps with
   invariant checking; ``run_campaign(jobs=N, cache_dir=D)`` shards seeds
   across the :mod:`repro.exec` process pool with byte-identical results;
-* :func:`check_scenario` — the invariant battery on its own.
+* :func:`check_scenario` — the invariant battery on its own, and
+  :func:`run_reference` / :func:`run_faulted` — the one run-and-judge
+  policy every crash checker goes through.
 """
 
 from .injector import (FaultInjector, InjectionRecord, TracePoint,
@@ -17,7 +19,7 @@ from .injector import (FaultInjector, InjectionRecord, TracePoint,
                        recovery_begin)
 from .invariants import (check_all_runnable, check_bus_fault_sanity,
                          check_external_behaviour, check_metrics_sanity,
-                         check_scenario)
+                         check_scenario, run_faulted, run_reference)
 from .kinds import (FAULT_REGISTRY, FaultKind, fault_kinds_markdown,
                     register_fault_kind)
 from .campaign import (BUS_FAULT_KINDS, FAULT_KINDS, CampaignPlan,
@@ -31,6 +33,7 @@ __all__ = [
     "nth_promotion", "nth_sync", "nth_transmission", "recovery_begin",
     "check_all_runnable", "check_bus_fault_sanity",
     "check_external_behaviour", "check_metrics_sanity", "check_scenario",
+    "run_faulted", "run_reference",
     "FAULT_REGISTRY", "FaultKind", "fault_kinds_markdown",
     "register_fault_kind",
     "BUS_FAULT_KINDS", "FAULT_KINDS", "CampaignPlan", "CampaignReport",

@@ -37,12 +37,11 @@ from typing import (Any, Dict, List, Optional, Sequence, Tuple,
 from ..config import BusFaultConfig, MachineConfig
 from ..core.machine import Machine
 from ..metrics.histogram import LogHistogram
-from ..sim.events import SimulationError
 from ..sim.rng import DeterministicRNG
 from ..types import Pid
 from ..workloads.generator import generate_scenario
 from .injector import FaultInjector
-from .invariants import check_scenario
+from .invariants import run_faulted
 from .kinds import (BOOT_GRACE, FAULT_REGISTRY, bus_fault_kind_names,
                     fault_kind_names)
 
@@ -316,9 +315,10 @@ def run_seed(seed: int, n_clusters: int = 3,
     memoizes the failure-free reference observable on disk
     (:class:`repro.exec.refcache.ReferenceCache`) — a hit skips the
     reference run entirely and cannot change any verdict, because the
-    observable is all the invariants consume from the reference.  A run
-    that raises anything but :class:`SimulationError` fails the seed
-    with that exception as a violation, and no invariant is checked.
+    observable is all the invariants consume from the reference.
+    Failed runs are reported by the one policy of
+    :func:`~repro.faults.invariants.run_reference` and
+    :func:`~repro.faults.invariants.run_faulted`.
     """
     root = DeterministicRNG(seed)
     workload_rng = root.fork("workload")
@@ -329,18 +329,8 @@ def run_seed(seed: int, n_clusters: int = 3,
     scenario = generate_scenario(workload_rng.seed, n_clusters=n_clusters)
 
     from ..exec.refcache import reference_observable
-    violations: List[str] = []
-    try:
-        baseline = reference_observable(scenario, max_events, cache)
-    except SimulationError as error:
-        # The failure-free reference itself exhausted the budget: there
-        # is nothing to judge the faulted run against (and nothing was
-        # cached), so the seed fails with the reason instead.
-        baseline = None
-        violations.append(f"reference run: {error}")
-    except Exception as error:
-        baseline = None
-        violations.append(f"reference run: {type(error).__name__}: {error}")
+    expected, violations = reference_observable(scenario, max_events,
+                                                cache)
 
     faulted = Machine(plan_machine_config(plan, n_clusters, seed,
                                           loss_rate=loss_rate,
@@ -348,18 +338,8 @@ def run_seed(seed: int, n_clusters: int = 3,
     pids = scenario.build(faulted)
     injector = FaultInjector(faulted)
     install_plan(plan, injector, pids)
-
-    try:
-        faulted.run_until_idle(max_events=max_events)
-    except SimulationError as error:
-        violations.append(f"simulation: {error}")
-    except Exception as error:
-        # The machine stopped mid-event: its state judges nothing.
-        violations.append(f"simulation: {type(error).__name__}: {error}")
-        baseline = None
-    if baseline is not None:
-        violations += check_scenario(baseline, faulted, plan.survivable,
-                                     injector.crashes_delivered())
+    violations += run_faulted(faulted, max_events, expected,
+                              plan.survivable, injector)
 
     result = ScenarioResult(
         seed=seed, kind=kind, plan=plan.describe(),

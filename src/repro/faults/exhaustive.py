@@ -12,10 +12,13 @@ Then, for every (cluster, time) cell, it builds a fresh machine, crashes
 that cluster at that time, runs it until idle with tracing on, and
 judges the run with :func:`~repro.faults.invariants.check_scenario`: E8
 external equivalence, every process runnable, metrics agreeing with the
-trace.  A cell whose run raises anything but the event-budget
-:class:`~repro.sim.events.SimulationError` fails with that one exception
-as its violation, unjudged, and the sweep goes on.  Each machine is
-closed once judged.
+trace.  Both runs go through
+:func:`~repro.faults.invariants.run_reference` and
+:func:`~repro.faults.invariants.run_faulted`: a cell whose run raises
+anything but the event-budget :class:`~repro.sim.events.SimulationError`
+fails with that one exception as its violation, unjudged, and the sweep
+goes on; a reference run that fails is the sweep's one failure, and no
+cell runs.  Each machine is closed once judged.
 
 Example::
 
@@ -37,12 +40,10 @@ from ..core.machine import Machine
 from ..resilience.registry import apply_services
 from ..scenario.registry import validate_params
 from ..scenario.workloads import WORKLOAD_REGISTRY
-from ..sim.events import SimulationError
 from ..types import ClusterId, Ticks
-from ..workloads.generator import observable
 from .campaign import MAX_EVENTS
 from .injector import FaultInjector
-from .invariants import check_scenario
+from .invariants import run_faulted, run_reference
 
 #: First crash time the sweep aims at by default (the campaigns' floor).
 BOOT_WINDOW: Ticks = 2_000
@@ -58,9 +59,11 @@ class SweepResult:
     services: Tuple[str, ...]
     cells: int = 0
     seconds: float = 0.0
-    #: ``(crashed cluster, crash time, violations)`` of each failing cell.
-    failures: List[Tuple[ClusterId, Ticks, List[str]]] = \
-        field(default_factory=list)
+    #: ``(crashed cluster, crash time, violations)`` of each failing
+    #: cell; a failed reference run is the one entry, with no cluster
+    #: or time, and no cell runs.
+    failures: List[Tuple[Optional[ClusterId], Optional[Ticks],
+                         List[str]]] = field(default_factory=list)
 
     @property
     def cells_per_s(self) -> float:
@@ -93,15 +96,17 @@ def sweep(recipe: str, services: Sequence[str] = (),
     apply_services(config.resilience, {name: {} for name in services})
     config.validate()
 
+    result = SweepResult(recipe=recipe, services=tuple(services))
     reference = Machine(config)
     build(reference, params)
-    reference.run_until_idle(max_events=MAX_EVENTS)
-    expected = observable(reference)
+    expected, violations = run_reference(reference, MAX_EVENTS)
     times = sorted({record.time for record in reference.trace
                     if record.time >= start
                     and (end is None or record.time <= end)})
     reference.close()
-    result = SweepResult(recipe=recipe, services=tuple(services))
+    if expected is None:
+        result.failures.append((None, None, violations))
+        return result
     began = time.perf_counter()
     for cluster in range(N_CLUSTERS):
         for when in times:
@@ -109,25 +114,11 @@ def sweep(recipe: str, services: Sequence[str] = (),
             build(machine, params)
             injector = FaultInjector(machine)
             injector.crash_at(cluster, when)
-            violations: List[str] = []
-            judge = True
-            try:
-                machine.run_until_idle(max_events=MAX_EVENTS)
-            except SimulationError as error:
-                violations.append(f"simulation: {error}")
-            except Exception as error:
-                # The machine stopped mid-event: its state judges nothing.
-                violations.append(
-                    f"simulation: {type(error).__name__}: {error}")
-                judge = False
-            if judge:
-                violations += check_scenario(
-                    expected, machine, survivable=True,
-                    injected_crashes=injector.crashes_delivered())
+            violations = run_faulted(machine, MAX_EVENTS, expected,
+                                     survivable=True, injector=injector)
             machine.close()
             result.cells += 1
             if violations:
                 result.failures.append((cluster, when, violations))
     result.seconds = time.perf_counter() - began
     return result
-

@@ -21,30 +21,80 @@ On top of the behavioural checks, structural sanity: every promoted
 process must end runnable (nothing parked forever awaiting a backup, no
 stalled ready queue), and the metric counters must agree with the trace
 (``bus.transmissions`` == number of ``bus.transmit`` records, etc.).
+
+Every crash checker (campaign seeds, the exhaustive sweep, explicit
+scenarios) runs and judges its machines through the same two helpers,
+so all of them share one exception policy:
+
+* :func:`run_reference` — the failure-free run.  Any exception, budget
+  exhaustion included, is one ``reference run: ...`` violation and no
+  observable: there is nothing to judge against.
+* :func:`run_faulted` — the faulted run.  Budget exhaustion is a
+  ``simulation: ...`` violation and the run is still judged; any other
+  exception is ``simulation: <Type>: ...`` and the run is not judged,
+  because the machine stopped mid-event.  Judging is
+  :func:`check_scenario`.
+
+Callers build the machines, read digests and counters off them, and
+close them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from ..core.machine import Machine
 from ..kernel.pcb import ProcState
+from ..sim.events import SimulationError
 from ..workloads.generator import observable
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from .injector import FaultInjector
 
 Observable = Tuple[Dict[str, List[str]], tuple]
 
 
-def check_scenario(baseline: Union[Machine, Observable], faulted: Machine,
-                   survivable: bool, injected_crashes: int) -> List[str]:
-    """Run every checker; returns the combined violation list.
+def run_reference(machine: Machine, max_events: int
+                  ) -> Tuple[Optional[Observable], List[str]]:
+    """Run the failure-free reference until idle: its observable and no
+    violation, or ``None`` and one ``reference run:`` violation."""
+    try:
+        machine.run_until_idle(max_events=max_events)
+    except Exception as error:
+        return None, [f"reference run: {_describe(error)}"]
+    return observable(machine), []
 
-    ``baseline`` is either the failure-free reference :class:`Machine`
-    or its precomputed observable — the form the reference cache
-    (:mod:`repro.exec.refcache`) stores, since the observable is all the
-    external-behaviour check ever consumes.
-    """
-    expected = (observable(baseline) if isinstance(baseline, Machine)
-                else baseline)
+
+def run_faulted(machine: Machine, max_events: int,
+                expected: Optional[Observable], survivable: bool,
+                injector: "FaultInjector") -> List[str]:
+    """Run the faulted machine until idle and judge it against
+    ``expected``; with no ``expected`` the run is not judged."""
+    violations: List[str] = []
+    try:
+        machine.run_until_idle(max_events=max_events)
+    except SimulationError as error:
+        violations.append(f"simulation: {error}")
+    except Exception as error:
+        # The machine stopped mid-event: its state judges nothing.
+        return [f"simulation: {_describe(error)}"]
+    if expected is not None:
+        violations += check_scenario(expected, machine, survivable,
+                                     injector.crashes_delivered())
+    return violations
+
+
+def _describe(error: Exception) -> str:
+    """The budget error's own message; any other exception's type too."""
+    if isinstance(error, SimulationError):
+        return str(error)
+    return f"{type(error).__name__}: {error}"
+
+
+def check_scenario(expected: Observable, faulted: Machine,
+                   survivable: bool, injected_crashes: int) -> List[str]:
+    """Run every checker against the failure-free run's observable;
+    returns the combined violation list."""
     violations: List[str] = []
     violations += check_external_behaviour(expected,
                                            observable(faulted), survivable)

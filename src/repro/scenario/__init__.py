@@ -20,9 +20,9 @@ The subsystem has four layers (see ``docs/scenarios.md``):
   directory (``repro scenario run examples/scenarios/``), honoring
   ``--jobs`` and the reference cache.
 
-Workload recipes and machine shapes register in
-:mod:`repro.scenario.workloads` / :mod:`repro.scenario.shapes`;
-invariant checkers in :mod:`repro.scenario.checks`.
+Workload recipes register in :mod:`repro.scenario.workloads`; every
+scenario is judged by the invariant checks in
+:mod:`repro.faults.invariants`.
 
 Submodules that depend on the simulator are imported lazily (PEP 562)
 so ``repro.faults`` can import :mod:`repro.scenario.registry` without
@@ -48,12 +48,6 @@ _LAZY = {
     "load_scenario": "compile",
     "WORKLOAD_REGISTRY": "workloads",
     "register_workload": "workloads",
-    "SHAPE_REGISTRY": "shapes",
-    "register_shape": "shapes",
-    "shape_config": "shapes",
-    "CHECK_REGISTRY": "checks",
-    "CheckContext": "checks",
-    "register_check": "checks",
     "ScenarioOutcome": "runner",
     "corpus_report": "runner",
     "run_compiled": "runner",

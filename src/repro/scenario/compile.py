@@ -20,7 +20,6 @@ from ..faults.campaign import (BUS_FAULT_KINDS, MAX_EVENTS,
 from ..faults.kinds import FAULT_REGISTRY
 from . import yamlite
 from .schema import validate_scenario
-from .shapes import shape_config
 
 #: machine: keys copied straight onto MachineConfig when non-null.
 _MACHINE_PASSTHROUGH = ("sync_reads_threshold", "sync_time_threshold",
@@ -99,11 +98,8 @@ class CompiledScenario:
     def machine_config(self) -> MachineConfig:
         """The faulted run's machine (explicit mode)."""
         machine = self.doc["machine"]
-        kwargs = shape_config(machine["shape"])
-        if machine["clusters"] is not None:
-            kwargs["n_clusters"] = machine["clusters"]
-        config = MachineConfig(**kwargs)
-        config.seed = machine["seed"]
+        config = MachineConfig(n_clusters=machine["clusters"],
+                               seed=machine["seed"])
         for key in _MACHINE_PASSTHROUGH:
             if machine[key] is not None:
                 setattr(config, key, machine[key])
@@ -183,13 +179,10 @@ def compile_scenario(doc: Any, source: str = "") -> CompiledScenario:
         if isinstance(seeds, int):
             base = sweep["base_seed"]
             seeds = list(range(base, base + seeds))
-        machine = normalized["machine"]
-        clusters = machine["clusters"]
-        if clusters is None:
-            clusters = shape_config(machine["shape"])["n_clusters"]
         bus = normalized["bus"]
         campaign = CampaignPlan(
-            seeds=tuple(seeds), n_clusters=clusters,
+            seeds=tuple(seeds),
+            n_clusters=normalized["machine"]["clusters"],
             kinds=tuple(sweep["kinds"]) if sweep["kinds"] else None,
             loss_rate=bus["loss_rate"] or None,
             garble_rate=bus["garble_rate"] or None,

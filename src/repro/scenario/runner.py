@@ -6,7 +6,10 @@ the reference cache; their serialized report is **exactly**
 ``CampaignReport.as_dict()``, so a scenario file and the equivalent
 Python-built plan emit byte-identical JSON.  Explicit-mode scenarios
 build the named workload twice (failure-free reference + faulted run),
-install the fault plan, and judge the run against ``expect:``.
+install the fault plan, and judge the run as campaigns and sweeps do
+(:func:`~repro.faults.invariants.run_reference` and
+:func:`~repro.faults.invariants.run_faulted`), plus the ``expect:``
+counter bounds.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..core.machine import Machine
 from ..faults.campaign import install_plan, trace_digest
 from ..faults.injector import FaultInjector
-from ..sim.events import SimulationError
-from ..workloads.generator import observable
-from .checks import DEFAULT_CHECKS, CheckContext, run_checks
+from ..faults.invariants import run_faulted, run_reference
 from .compile import CompiledScenario, load_scenario
 from .registry import RegistryError
 from .workloads import WORKLOAD_REGISTRY
@@ -104,17 +105,13 @@ def _run_baseline(compiled: CompiledScenario) -> ScenarioOutcome:
     completed (all clients got all their replies)."""
     from ..baselines.designs import DESIGN_ORDER, run_shootout
     from ..faults.kinds import FAULT_REGISTRY
-    from .shapes import shape_config
 
     spec = compiled.baseline
-    machine = compiled.doc["machine"]
-    clusters = machine["clusters"]
-    if clusters is None:
-        clusters = shape_config(machine["shape"])["n_clusters"]
     report = run_shootout(
         kinds=spec["kinds"],
         designs=spec["designs"] or list(DESIGN_ORDER),
-        n_clusters=clusters, n_clients=spec["clients"],
+        n_clusters=compiled.doc["machine"]["clusters"],
+        n_clients=spec["clients"],
         txns_per_client=spec["txns_per_client"],
         max_events=compiled.max_events)
     violations = [
@@ -133,41 +130,24 @@ def _run_explicit(compiled: CompiledScenario) -> ScenarioOutcome:
     build = WORKLOAD_REGISTRY.get(compiled.workload_recipe)
     params = compiled.workload_params
     max_events = compiled.max_events
-    expect = compiled.expect
-    checks = (expect["invariants"] if expect is not None
-              else list(DEFAULT_CHECKS))
 
-    violations: List[str] = []
-    expected = None
-    if "external_behaviour" in checks:
-        reference = Machine(compiled.baseline_config())
-        build(reference, params)
-        try:
-            reference.run_until_idle(max_events=max_events)
-        except SimulationError as error:
-            violations.append(f"reference run: {error}")
-        expected = observable(reference)
-        reference.close()
+    reference = Machine(compiled.baseline_config())
+    build(reference, params)
+    expected, violations = run_reference(reference, max_events)
+    reference.close()
 
     faulted = Machine(compiled.machine_config())
     pids = build(faulted, params)
     injector = FaultInjector(faulted)
     if compiled.fault_plan is not None:
         install_plan(compiled.fault_plan, injector, pids)
-    try:
-        faulted.run_until_idle(max_events=max_events)
-    except SimulationError as error:
-        violations.append(f"simulation: {error}")
-
-    context = CheckContext(machine=faulted, expected=expected,
-                           survivable=compiled.survivable,
-                           injected_crashes=injector.crashes_delivered())
-    violations += run_checks(checks, context)
+    violations += run_faulted(faulted, max_events, expected,
+                              compiled.survivable, injector)
 
     counters: Dict[str, int] = {}
-    if expect is not None:
-        violations += _check_counters(expect["counters"], faulted,
-                                      counters)
+    if compiled.expect is not None:
+        violations += _check_counters(compiled.expect["counters"],
+                                      faulted, counters)
 
     outcome = ScenarioOutcome(
         name=compiled.name, source=compiled.source, mode="explicit",

@@ -13,7 +13,8 @@ A scenario document has two mutually exclusive modes:
   stratified fault-kind mix, the full invariant battery per seed.
 * **explicit** — a ``fault:`` section (or none, for failure-free
   smoke runs) builds one workload on one machine, optionally installs
-  one fault plan, and judges the run against ``expect:``.
+  one fault plan, and judges the run with the same invariant checks
+  plus any ``expect:`` counter bounds.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from ..faults.kinds import FAULT_REGISTRY
-from .checks import CHECK_REGISTRY, DEFAULT_CHECKS
-from .registry import (ParamSpec, RegistryError, UnknownNameError,
-                       unknown_name_message, validate_params)
-from .shapes import SHAPE_REGISTRY
+from .registry import (ParamSpec, RegistryError, unknown_name_message,
+                       validate_params)
 from .workloads import WORKLOAD_REGISTRY
 
 
@@ -40,13 +39,10 @@ TOP_LEVEL_KEYS: Tuple[str, ...] = (
     "scenario", "description", "workload", "machine", "bus",
     "services", "sweep", "fault", "baseline", "expect", "max_events")
 
-#: ``machine:`` — shape preset plus field-by-field MachineConfig
-#: overrides (null = keep the preset/config default).
+#: ``machine:`` — the cluster count plus field-by-field MachineConfig
+#: overrides (null = keep the config default).
 MACHINE_SPECS: Dict[str, ParamSpec] = {
-    "shape": ParamSpec(str, "machine-shape preset name",
-                       default="small"),
-    "clusters": ParamSpec(int, "cluster count override",
-                          default=None, nullable=True),
+    "clusters": ParamSpec(int, "cluster count", default=3),
     "sync_reads_threshold": ParamSpec(int, "reads between syncs",
                                       default=None, nullable=True),
     "sync_time_threshold": ParamSpec(int, "ticks between syncs",
@@ -119,8 +115,6 @@ BASELINE_SPECS: Dict[str, ParamSpec] = {
 
 #: ``expect:`` — what the run is judged on (explicit mode).
 EXPECT_SPECS: Dict[str, ParamSpec] = {
-    "invariants": ParamSpec(list, "invariant checks to run",
-                            default=None, nullable=True),
     "counters": ParamSpec(dict, "metric-counter bounds "
                                 "(name -> min/max/equals)",
                           default=None, nullable=True),
@@ -141,7 +135,7 @@ COUNTER_BOUND_SPECS: Dict[str, ParamSpec] = {
 #: machinery owns everything else, by design — that is what keeps
 #: scenario-compiled campaigns byte-identical to Python-built ones).
 SWEEP_ALLOWED = {
-    "machine": ("shape", "clusters"),
+    "machine": ("clusters",),
     "bus": ("loss_rate", "garble_rate"),
 }
 
@@ -226,12 +220,6 @@ def validate_scenario(doc: Any, source: str = "") -> Dict[str, Any]:
             WORKLOAD_SPECS, "workload")
     except RegistryError as error:
         raise SchemaError(f"{where}: {error}") from None
-
-    if machine["shape"] not in SHAPE_REGISTRY:
-        raise SchemaError(f"{where}: machine.shape: "
-                          + unknown_name_message(
-                              "machine shape", machine["shape"],
-                              SHAPE_REGISTRY.names()))
 
     recipe = workload["recipe"]
     if recipe not in WORKLOAD_REGISTRY:
@@ -463,12 +451,6 @@ def _validate_expect(expect: Any,
                                  EXPECT_SPECS, "expect")
     except RegistryError as error:
         raise SchemaError(f"{where}: {error}") from None
-    if expect["invariants"] is not None:
-        expect["invariants"] = _name_list(
-            expect["invariants"], CHECK_REGISTRY,
-            f"{where}: expect.invariants")
-    else:
-        expect["invariants"] = list(DEFAULT_CHECKS)
     counters: Dict[str, Dict[str, Optional[int]]] = {}
     for counter, bounds in (expect["counters"] or {}).items():
         try:

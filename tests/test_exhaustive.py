@@ -65,3 +65,28 @@ def test_sweep_reports_an_exception_in_a_cell_and_goes_on(monkeypatch):
         assert violations == ["simulation: RuntimeError: promotion refused"]
     # The reference machine and all six cells' machines.
     assert len(closed) == 7
+
+
+def test_sweep_reports_a_failed_reference_run_and_runs_no_cell(
+        monkeypatch):
+    """A reference run that raises leaves nothing to judge against: the
+    sweep returns that one ``reference run:`` failure, with no cluster
+    or time, runs no cell, and closes the reference machine."""
+
+    def refuse(machine, max_events=None):
+        raise RuntimeError("no reference")
+
+    closed = []
+    close = Machine.close
+
+    def counting_close(machine):
+        closed.append(machine)
+        close(machine)
+
+    monkeypatch.setattr(Machine, "run_until_idle", refuse)
+    monkeypatch.setattr(Machine, "close", counting_close)
+    result = sweep("tty", start=4_000, end=6_000)
+    assert result.cells == 0
+    assert result.failures == [
+        (None, None, ["reference run: RuntimeError: no reference"])]
+    assert len(closed) == 1

@@ -3,7 +3,7 @@ and the ``repro campaign`` CLI."""
 
 import json
 
-from repro import cli
+from repro import Machine, cli
 from repro.faults import (FAULT_KINDS, build_plan, run_campaign, run_seed,
                           verify_reproducibility)
 from repro.sim.rng import DeterministicRNG
@@ -168,10 +168,12 @@ def test_an_exception_in_the_faulted_run_is_a_violation(monkeypatch):
 
 
 def test_an_exception_in_the_reference_run_is_a_violation(monkeypatch):
-    def refuse(scenario, max_events, cache=None):
-        raise ValueError("no reference")
+    class Refusing(Machine):
+        def run_until_idle(self, max_events=None):
+            raise ValueError("no reference")
 
-    monkeypatch.setattr("repro.exec.refcache.reference_observable", refuse)
+    # Only the reference machine, which the reference cache builds.
+    monkeypatch.setattr("repro.exec.refcache.Machine", Refusing)
     result = run_seed(7000)
     assert not result.passed
     assert result.violations == ["reference run: ValueError: no reference"]

@@ -199,7 +199,7 @@ def test_schema_missing_required_param_names_it():
 
 def test_compile_round_trips_through_canonical_yaml():
     every_machine_key = _base_doc(machine={
-        "shape": "quad", "clusters": 5, "sync_reads_threshold": 4,
+        "clusters": 5, "sync_reads_threshold": 4,
         "sync_time_threshold": 90_000, "poll_interval": 30_000,
         "server_sync_requests": 8, "seed": 3})
     docs = [(path.name, yamlite.loads(path.read_text()))
@@ -216,7 +216,7 @@ def test_compile_sweep_builds_campaign_plan():
         "scenario": "s",
         "sweep": {"seeds": 4, "base_seed": 10,
                   "kinds": ["time_crash", "proc_fail"]},
-        "machine": {"shape": "quad"},
+        "machine": {"clusters": 4},
     })
     assert compiled.mode == "sweep"
     assert compiled.campaign == CampaignPlan(
@@ -284,7 +284,7 @@ workload:
     writers: 2
     lines: 5
 machine:
-  shape: small
+  clusters: 3
 fault:
   kind: time_crash
   params:
@@ -310,7 +310,6 @@ workload:
     writers: 1
     lines: 3
 expect:
-  invariants: [runnability]
   counters:
     bus.transmissions:
       max: 0
@@ -318,6 +317,51 @@ expect:
     outcome = run_paths([str(path)])[0]
     assert not outcome.passed
     assert any("bus.transmissions" in violation
+               for violation in outcome.violations)
+
+
+def test_explicit_scenario_exception_is_one_unjudged_violation(
+        monkeypatch):
+    """A faulted run that raises something other than the event-budget
+    ``SimulationError`` fails its scenario with that one exception as
+    its violation, unjudged; both of its machines are closed and the
+    corpus goes on to the next file."""
+    from repro import Machine
+
+    def refuse(kernel, record, crashed):
+        raise RuntimeError("promotion refused")
+
+    closed = []
+    close = Machine.close
+
+    def counting_close(machine):
+        closed.append(machine)
+        close(machine)
+
+    monkeypatch.setattr("repro.recovery.rollforward.promote", refuse)
+    monkeypatch.setattr(Machine, "close", counting_close)
+    outcomes = run_paths([str(CORPUS / "crash-mid-pipeline.yaml"),
+                          str(CORPUS / "smoke-flood.yaml")])
+    assert len(outcomes) == 2
+    assert not outcomes[0].passed
+    assert outcomes[0].violations == [
+        "simulation: RuntimeError: promotion refused"]
+    assert outcomes[1].passed, outcomes[1].violations
+    # A reference and a faulted machine per scenario.
+    assert len(closed) == 4
+
+
+def test_explicit_scenario_is_not_judged_against_a_truncated_reference():
+    """A reference run that exhausts its budget leaves nothing to judge
+    against: the scenario reports the two budget violations and no
+    check's verdict on a half-finished run."""
+    doc = yamlite.loads((CORPUS / "crash-mid-pipeline.yaml").read_text())
+    doc["max_events"] = 300
+    outcome = run_compiled(compile_scenario(doc, "budget"))
+    assert not outcome.passed
+    assert [violation.split(":")[0] for violation in outcome.violations] \
+        == ["reference run", "simulation"]
+    assert all("did not go idle within 300 events" in violation
                for violation in outcome.violations)
 
 
@@ -335,9 +379,11 @@ def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
     against the file with exit 2 and no traceback: the simulator has one
     engine, so an ``engine:`` section is an unknown top-level key; server
     inboxes are unbounded, so the inbox knobs are unknown machine keys;
-    and a retired resilience service is unknown to the services
-    registry.  The retired config fields are gone from the dataclasses
-    too."""
+    machines are sized by ``clusters:`` alone, so ``shape:`` is an
+    unknown machine key; every scenario is judged by the same checks,
+    so ``invariants:`` is an unknown expect key; and a retired
+    resilience service is unknown to the services registry.  The
+    retired config fields are gone from the dataclasses too."""
     from repro.cli import main
 
     cases = {
@@ -347,6 +393,10 @@ def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
                        "machine: unknown key 'server_inbox_limit'"),
         "policy.yaml": ("machine:\n  server_inbox_policy: defer\n",
                         "machine: unknown key 'server_inbox_policy'"),
+        "shape.yaml": ("machine:\n  shape: small\n",
+                       "machine: unknown key 'shape'"),
+        "invariants.yaml": ("expect:\n  invariants: [runnability]\n",
+                            "expect: unknown key 'invariants'"),
     }
     for service in ("breaker", "bulkhead", "dlq", "idempotent"):
         cases[f"{service}.yaml"] = (
@@ -369,12 +419,17 @@ def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
 
 def test_scenario_list_shows_the_services_registry(capsys):
     """``scenario list`` prints the ``services:`` registry with the other
-    four, and ``--params`` adds each service's knobs."""
+    two, and ``--params`` adds each service's knobs."""
     from repro.cli import main
     from repro.resilience.registry import SERVICE_REGISTRY
 
     assert main(["scenario", "list"]) == 0
     out = capsys.readouterr().out
+    assert [line for line in out.splitlines()
+            if line and not line.startswith(" ")] == [
+        "workload recipes (workload: recipe:):",
+        "fault kinds (fault: kind: / sweep: kinds:):",
+        "resilience services (services:):"]
     section = out.split("resilience services (services:):\n")[1]
     listed = [line.split()[0] for line in section.splitlines()
               if line.startswith("  ") and not line.startswith("    ")]
