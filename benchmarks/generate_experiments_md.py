@@ -241,10 +241,11 @@ COMMENTARY = {
         " ~2.7× its p99 for per-input syncs; under `time_crash` the"
         " long-replay designs (`checkpoint`, `llft`) pay >10× the"
         " rollforward p99.  The second table prices *detection*: the"
-        " resilience layer's heartbeat monitor (interval 4000, 2"
-        " misses; see `docs/resilience.md`) detects the same crash in"
-        " ~9k ticks against the poll detector's ~50k — a 5.5× cut,"
-        " asserted in the benchmark and in `tests/test_resilience.py`."
+        " heartbeat detector (`MachineConfig.detector = \"heartbeat\"`,"
+        " interval 4000, 2 misses; see `docs/faults.md`, \"Crash"
+        " detection\") detects the same crash in ~9k ticks against the"
+        " poll detector's ~50k — a 5.5× cut, asserted in the benchmark"
+        " and in `tests/test_detector.py`."
         "  Curves land in `BENCH_core.json` under `recovery_shootout`."),
     "F2": (
         "## F2 — seeded fault-injection campaign (sections 7.8–7.10)",

@@ -27,8 +27,8 @@ Expected shape, asserted below:
 * Recovery latency is measured for every crash kind and absent for the
   kinds that never kill a cluster.
 
-The second half prices *detection*: the resilience layer's heartbeat
-monitor against the baseline poll detector, on an identical crashed
+The second half prices *detection*: the heartbeat detector against
+the baseline poll detector, on an identical crashed
 machine.  Heartbeat detection at interval 4000 x (2 misses + 1) must
 beat the 50k-tick poll — the acceptance number EXPERIMENTS.md quotes.
 """
@@ -55,9 +55,9 @@ HB_MISSES = 2
 def _detection_machine(heartbeat: bool) -> Machine:
     config = MachineConfig(n_clusters=3, trace_enabled=True)
     if heartbeat:
-        config.resilience.heartbeat = True
-        config.resilience.heartbeat_interval = HB_INTERVAL
-        config.resilience.heartbeat_miss_threshold = HB_MISSES
+        config.detector = "heartbeat"
+        config.heartbeat_interval = HB_INTERVAL
+        config.heartbeat_miss_threshold = HB_MISSES
     machine = Machine(config.validate())
     machine.spawn(TtyWriterProgram(lines=12, tag="a", compute=2_000),
                   cluster=2, sync_reads_threshold=3,

@@ -17,8 +17,7 @@ Commands:
   ``scenario run`` executes a file or corpus directory (honoring
   ``--jobs`` and the reference cache), ``scenario validate``
   schema-checks without running, ``scenario list`` shows every
-  registered workload recipe, fault kind and resilience service (see
-  ``docs/scenarios.md``).
+  registered workload recipe and fault kind (see ``docs/scenarios.md``).
 
 Every command accepts ``--clusters N`` and ``--seed S`` where meaningful.
 """
@@ -282,7 +281,6 @@ def cmd_scenario_validate(args: argparse.Namespace) -> int:
 
 def cmd_scenario_list(args: argparse.Namespace) -> int:
     from .faults.kinds import FAULT_REGISTRY
-    from .resilience.registry import SERVICE_REGISTRY
     from .scenario.registry import Registry
     from .scenario.workloads import WORKLOAD_REGISTRY
 
@@ -302,7 +300,6 @@ def cmd_scenario_list(args: argparse.Namespace) -> int:
 
     show("workload recipes (workload: recipe:)", WORKLOAD_REGISTRY)
     show("fault kinds (fault: kind: / sweep: kinds:)", FAULT_REGISTRY)
-    show("resilience services (services:)", SERVICE_REGISTRY)
     return 0
 
 
@@ -371,8 +368,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                         "directory")
     scenario_validate.set_defaults(fn=cmd_scenario_validate)
     scenario_list = scenario_sub.add_parser(
-        "list", help="list registered workload recipes, fault kinds "
-                     "and resilience services")
+        "list", help="list registered workload recipes and fault kinds")
     scenario_list.add_argument("--params", action="store_true",
                                help="show each entry's parameter schema")
     scenario_list.set_defaults(fn=cmd_scenario_list)

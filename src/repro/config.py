@@ -20,6 +20,10 @@ class ConfigError(Exception):
     """Raised when a configuration violates a machine constraint."""
 
 
+#: The crash detectors ``MachineConfig.detector`` names.
+DETECTORS = ("poll", "heartbeat")
+
+
 @dataclass
 class CostModel:
     """Per-operation virtual-time costs (ticks = microseconds)."""
@@ -117,40 +121,6 @@ class BusFaultConfig:
 
 
 @dataclass
-class ResilienceConfig:
-    """Gates for the in-sim resilience services (:mod:`repro.resilience`).
-
-    Heartbeat is the one service.  It is **off** by default; off, no
-    monitor is built and the machine's traces stay byte-identical to a
-    build without it — the same hard constraint ``BusFaultConfig``
-    obeys.  The knobs beside the flag only matter while it is on.
-    """
-
-    #: Heartbeat-based crash detection, augmenting the poll-based
-    #: detector in :mod:`repro.recovery.detector`.  Detection latency is
-    #: roughly ``heartbeat_interval * heartbeat_miss_threshold`` versus
-    #: the poll detector's ``poll_interval``.
-    heartbeat: bool = False
-    #: Beacon period in ticks (per cluster, staggered by cluster id).
-    heartbeat_interval: Ticks = 5_000
-    #: Consecutive missed beacons before a peer is suspected dead.
-    heartbeat_miss_threshold: int = 3
-    #: How far into the run the monitor models beacon loss when the bus
-    #: fault layer is active (bounds the false-positive scan so the
-    #: event heap still drains).
-    heartbeat_horizon: Ticks = 240_000
-
-    def validate(self) -> "ResilienceConfig":
-        if self.heartbeat_interval < 1:
-            raise ConfigError("heartbeat_interval must be >= 1")
-        if self.heartbeat_miss_threshold < 1:
-            raise ConfigError("heartbeat_miss_threshold must be >= 1")
-        if self.heartbeat_horizon < 1:
-            raise ConfigError("heartbeat_horizon must be >= 1")
-        return self
-
-
-@dataclass
 class MachineConfig:
     """Shape and policy of a simulated Auragen 4000 machine.
 
@@ -174,6 +144,18 @@ class MachineConfig:
     #: Failure-detector polling interval (7.10: "periodic polling of every
     #: cluster will discover the shutdown").
     poll_interval: Ticks = 50_000
+    #: Crash detector: ``"poll"`` alone, or ``"heartbeat"``, which runs
+    #: beacon-based detection beside the poll detector (see
+    #: :mod:`repro.recovery.detector`).  Detection latency is roughly
+    #: ``(heartbeat_miss_threshold + 1) * heartbeat_interval`` versus
+    #: ``poll_interval``.  With ``"poll"`` no monitor is built and the
+    #: heartbeat knobs are unused.
+    detector: str = "poll"
+    #: Heartbeat beacon period in ticks (per cluster, staggered by
+    #: cluster id).
+    heartbeat_interval: Ticks = 5_000
+    #: Consecutive missed beacons before a peer is suspected dead.
+    heartbeat_miss_threshold: int = 3
     #: Peripheral-server explicit sync interval (requests between syncs).
     server_sync_requests: int = 32
     costs: CostModel = field(default_factory=CostModel)
@@ -192,9 +174,6 @@ class MachineConfig:
     #: :class:`BusFaultConfig`).  The machine stays free of runtime
     #: randomness — fault outcomes come from a seeded hash stream.
     bus_faults: BusFaultConfig = field(default_factory=BusFaultConfig)
-    #: In-sim resilience services (off by default; see
-    #: :class:`ResilienceConfig` and :mod:`repro.resilience`).
-    resilience: ResilienceConfig = field(default_factory=ResilienceConfig)
     #: Workload RNG seed (the machine itself uses no randomness).
     seed: int = 0
 
@@ -217,8 +196,15 @@ class MachineConfig:
             raise ConfigError("page geometry must be positive")
         if self.poll_interval < 1:
             raise ConfigError("poll_interval must be >= 1")
+        if self.detector not in DETECTORS:
+            raise ConfigError(f"detector must be one of "
+                              f"{', '.join(DETECTORS)}, "
+                              f"got {self.detector!r}")
+        if self.heartbeat_interval < 1:
+            raise ConfigError("heartbeat_interval must be >= 1")
+        if self.heartbeat_miss_threshold < 1:
+            raise ConfigError("heartbeat_miss_threshold must be >= 1")
         self.bus_faults.validate()
-        self.resilience.validate()
         return self
 
 

@@ -41,8 +41,7 @@ from ..metrics import MetricSet
 from ..paging.store import PageStore
 from ..fs.shadowfs import ShadowFS
 from ..programs.program import Program
-from ..recovery.detector import schedule_detection
-from ..resilience.heartbeat import HeartbeatMonitor
+from ..recovery.detector import HeartbeatMonitor, schedule_detection
 from ..servers import (TtyDevice, make_file_server_harness,
                        make_page_server_harness, make_raw_server_harness,
                        make_tty_server_harness, register_server_actions)
@@ -102,11 +101,11 @@ class Machine:
         self.injectors: list = []
         self._closed = False
         # Same post-construction idiom as the bus fault layer: with the
-        # service off this is None, no hook fires, and the machine's
-        # traces stay byte-identical to a build without it.
+        # poll detector alone this is None, no hook fires, and the
+        # machine's traces stay byte-identical to a build without it.
         self.heartbeat = None
-        if self.config.resilience.heartbeat:
-            self.heartbeat = HeartbeatMonitor(self, self.config.resilience)
+        if self.config.detector == "heartbeat":
+            self.heartbeat = HeartbeatMonitor(self)
             for kernel in self.kernels:
                 kernel.heartbeat = self.heartbeat
         self._boot_servers()
@@ -297,9 +296,7 @@ class Machine:
                 return
             self._crashed.add(cluster_id)
             self.clusters[cluster_id].crash()
-            schedule_detection(self.kernels, cluster_id)
-            if self.heartbeat is not None:
-                self.heartbeat.on_crash(cluster_id)
+            schedule_detection(self.kernels, cluster_id, self.heartbeat)
 
         if at is None:
             do_crash()

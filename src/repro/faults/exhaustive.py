@@ -24,7 +24,7 @@ Example::
 
     from repro.faults.exhaustive import sweep
 
-    result = sweep("pipeline", services=("heartbeat",))
+    result = sweep("pipeline", detector="heartbeat")
     print(result.cells, result.cells_per_s)
     assert not result.failures, result.failures
 """
@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..config import MachineConfig
 from ..core.machine import Machine
-from ..resilience.registry import apply_services
 from ..scenario.registry import validate_params
 from ..scenario.workloads import WORKLOAD_REGISTRY
 from ..types import ClusterId, Ticks
@@ -56,7 +55,7 @@ class SweepResult:
     """Cells run and violations found by one :func:`sweep`."""
 
     recipe: str
-    services: Tuple[str, ...]
+    detector: str
     cells: int = 0
     seconds: float = 0.0
     #: ``(crashed cluster, crash time, violations)`` of each failing
@@ -72,7 +71,7 @@ class SweepResult:
     def as_dict(self) -> Dict[str, Any]:
         return {
             "recipe": self.recipe,
-            "services": list(self.services),
+            "detector": self.detector,
             "cells": self.cells,
             "seconds": round(self.seconds, 3),
             "cells_per_s": round(self.cells_per_s, 1),
@@ -82,21 +81,20 @@ class SweepResult:
         }
 
 
-def sweep(recipe: str, services: Sequence[str] = (),
+def sweep(recipe: str, detector: str = "poll",
           start: Ticks = BOOT_WINDOW,
           end: Optional[Ticks] = None) -> SweepResult:
     """Crash each cluster of a 3-cluster machine at every distinct trace
     time in ``[start, end]`` of ``recipe``'s failure-free run (registry
-    default params), with the named resilience ``services`` on, and
-    judge every cell."""
+    default params), detecting crashes with ``detector`` (``"poll"`` or
+    ``"heartbeat"``), and judge every cell."""
     build = WORKLOAD_REGISTRY.get(recipe)
     params = validate_params({}, WORKLOAD_REGISTRY.metadata(recipe).params,
                              f"{recipe} params")
-    config = MachineConfig(n_clusters=N_CLUSTERS, trace_enabled=True)
-    apply_services(config.resilience, {name: {} for name in services})
-    config.validate()
+    config = MachineConfig(n_clusters=N_CLUSTERS, trace_enabled=True,
+                           detector=detector).validate()
 
-    result = SweepResult(recipe=recipe, services=tuple(services))
+    result = SweepResult(recipe=recipe, detector=detector)
     reference = Machine(config)
     build(reference, params)
     expected, violations = run_reference(reference, MAX_EVENTS)

@@ -142,10 +142,10 @@ class ClusterKernel:
         #: machine converts it into a clean whole-cluster crash.
         self.on_fatal: Optional[Callable[[ClusterId, str], None]] = None
         self.server_registry: Dict[Pid, Any] = {}   # pid -> server harness
-        #: The machine's heartbeat monitor (repro.resilience.heartbeat),
-        #: installed post-construction like the bus fault layer; None when
-        #: the service is off.  Its probe/ack traffic arrives on the
-        #: CRASH_NOTICE kernel leg, the kernel's only service hook.
+        #: The machine's heartbeat detector (repro.recovery.detector),
+        #: installed post-construction like the bus fault layer; None
+        #: with the poll detector alone.  Its probe/ack traffic arrives
+        #: on the CRASH_NOTICE kernel leg, its only kernel hook.
         self.heartbeat = None
         self._next_pid = 1
         self._next_chan = 1
@@ -666,8 +666,8 @@ class ClusterKernel:
             procfail.handle_proc_failed(self, payload)
         elif message.kind is MessageKind.CRASH_NOTICE:
             # Baseline detection is poll-based (repro.recovery.detector);
-            # when the heartbeat service is on, this leg also carries its
-            # probe/ack verification traffic (repro.resilience.heartbeat).
+            # with the heartbeat detector on, this leg also carries its
+            # probe/ack verification traffic.
             if self.heartbeat is not None:
                 self.heartbeat.on_notice(self, payload)
         else:

@@ -14,20 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..config import BusFaultConfig, MachineConfig
+from ..config import BusFaultConfig, ConfigError, MachineConfig
 from ..faults.campaign import (BUS_FAULT_KINDS, MAX_EVENTS,
                                CampaignPlan, FaultPlan)
 from ..faults.kinds import FAULT_REGISTRY
 from . import yamlite
-from .schema import validate_scenario
+from .schema import SchemaError, validate_scenario
 
 #: machine: keys copied straight onto MachineConfig when non-null.
 _MACHINE_PASSTHROUGH = ("sync_reads_threshold", "sync_time_threshold",
-                        "poll_interval", "server_sync_requests")
-
-#: bus: keys copied straight onto BusFaultConfig when non-null.
-_BUS_PASSTHROUGH = ("retry_limit", "backoff_base",
-                    "failover_threshold")
+                        "poll_interval", "detector", "heartbeat_interval",
+                        "heartbeat_miss_threshold", "server_sync_requests",
+                        "seed")
 
 
 @dataclass(frozen=True)
@@ -60,12 +58,6 @@ class CompiledScenario:
         return self.doc["baseline"]
 
     @property
-    def services(self) -> Dict[str, Any]:
-        """The normalized ``services:`` block (resilience services to
-        enable on the explicit-mode machines); empty when absent."""
-        return dict(self.doc.get("services") or {})
-
-    @property
     def max_events(self) -> int:
         return self.doc["max_events"] or MAX_EVENTS
 
@@ -96,21 +88,15 @@ class CompiledScenario:
     # ------------------------------------------------------------------
 
     def machine_config(self) -> MachineConfig:
-        """The faulted run's machine (explicit mode)."""
+        """The faulted run's machine (explicit mode).  Sweep and
+        baseline documents keep only the keys their modes accept, so
+        for them this is the machine those keys describe."""
         machine = self.doc["machine"]
-        config = MachineConfig(n_clusters=machine["clusters"],
-                               seed=machine["seed"])
+        config = MachineConfig(n_clusters=machine["clusters"])
         for key in _MACHINE_PASSTHROUGH:
-            if machine[key] is not None:
+            if machine.get(key) is not None:
                 setattr(config, key, machine[key])
         config.bus_faults = self._bus_config()
-        services = self.doc.get("services")
-        if services:
-            # Enabled resilience services are part of the machine under
-            # test (the failure-free reference keeps them too; only bus
-            # degradation is stripped there).
-            from ..resilience.registry import apply_services
-            apply_services(config.resilience, services)
         return config.validate()
 
     def baseline_config(self) -> MachineConfig:
@@ -122,13 +108,11 @@ class CompiledScenario:
         return config
 
     def _bus_config(self) -> BusFaultConfig:
-        bus = self.doc["bus"]
-        config = BusFaultConfig(loss_rate=bus["loss_rate"],
-                                garble_rate=bus["garble_rate"],
-                                seed=bus["seed"])
-        for key in _BUS_PASSTHROUGH:
-            if bus[key] is not None:
-                setattr(config, key, bus[key])
+        # bus: keys are BusFaultConfig's field names; null keeps the
+        # field's default.
+        config = BusFaultConfig(**{
+            key: value for key, value in self.doc["bus"].items()
+            if value is not None})
         plan = self.fault_plan
         if plan is not None and plan.kind in BUS_FAULT_KINDS:
             # A bus fault kind carries its own rates and stream seed;
@@ -169,6 +153,7 @@ def compile_scenario(doc: Any, source: str = "") -> CompiledScenario:
     """Validate ``doc`` and bind it: the one entry point from raw
     parsed YAML to something runnable."""
     normalized = validate_scenario(doc, source)
+    where = source or "scenario"
     name = normalized["scenario"]
     campaign: Optional[CampaignPlan] = None
     fault_plan: Optional[FaultPlan] = None
@@ -195,11 +180,26 @@ def compile_scenario(doc: Any, source: str = "") -> CompiledScenario:
                       else fault["survivable"])
         fault_plan = FaultPlan(fault["kind"], dict(fault["params"]),
                                survivable)
+        n_clusters = normalized["machine"]["clusters"]
+        for key in ("cluster", "first", "second"):
+            cluster = fault["params"].get(key)
+            if cluster is not None and not 0 <= cluster < n_clusters:
+                raise SchemaError(
+                    f"{where}: fault.params.{key}: {cluster} names no "
+                    f"cluster of a {n_clusters}-cluster machine "
+                    f"(0-{n_clusters - 1})")
 
-    return CompiledScenario(name=name,
-                            description=normalized["description"],
-                            source=source, doc=normalized,
-                            campaign=campaign, fault_plan=fault_plan)
+    compiled = CompiledScenario(name=name,
+                                description=normalized["description"],
+                                source=source, doc=normalized,
+                                campaign=campaign, fault_plan=fault_plan)
+    # Every mode's machine and bus values are checked here, so a value
+    # the config rejects is a located schema error, not a failed run.
+    try:
+        compiled.machine_config()
+    except ConfigError as error:
+        raise SchemaError(f"{where}: {error}") from None
+    return compiled
 
 
 def load_scenario(path: str) -> CompiledScenario:

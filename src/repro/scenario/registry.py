@@ -1,8 +1,8 @@
 """The registry/factory core of the declarative scenario subsystem.
 
 Everything the scenario DSL can name — workload recipes, fault kinds,
-recovery designs, resilience services — registers here under a
-string name with metadata (description, params schema).  Lookups fail
+recovery designs — registers here under a string name with metadata
+(description, params schema).  Lookups fail
 loudly and helpfully: an unknown name raises :class:`UnknownNameError`
 carrying a "did you mean ...?" suggestion plus the full list of valid
 names, and duplicate registrations raise :class:`DuplicateNameError`

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..config import DETECTORS
 from ..faults.kinds import FAULT_REGISTRY
 from .registry import (ParamSpec, RegistryError, unknown_name_message,
                        validate_params)
@@ -37,7 +38,7 @@ class SchemaError(RegistryError):
 
 TOP_LEVEL_KEYS: Tuple[str, ...] = (
     "scenario", "description", "workload", "machine", "bus",
-    "services", "sweep", "fault", "baseline", "expect", "max_events")
+    "sweep", "fault", "baseline", "expect", "max_events")
 
 #: ``machine:`` — the cluster count plus field-by-field MachineConfig
 #: overrides (null = keep the config default).
@@ -49,6 +50,14 @@ MACHINE_SPECS: Dict[str, ParamSpec] = {
                                      default=None, nullable=True),
     "poll_interval": ParamSpec(int, "failure-detector poll ticks",
                                default=None, nullable=True),
+    "detector": ParamSpec(str, "crash detector (heartbeat runs beside "
+                               "poll)", default=None, nullable=True,
+                          choices=DETECTORS),
+    "heartbeat_interval": ParamSpec(int, "beacon period, ticks",
+                                    default=None, nullable=True),
+    "heartbeat_miss_threshold": ParamSpec(int, "missed beacons before "
+                                               "suspicion", default=None,
+                                          nullable=True),
     "server_sync_requests": ParamSpec(int,
                                       "server requests between syncs",
                                       default=None, nullable=True),
@@ -254,7 +263,6 @@ def validate_scenario(doc: Any, source: str = "") -> Dict[str, Any]:
         "workload": workload,
         "machine": machine,
         "bus": bus,
-        "services": _validate_services(doc.get("services"), where),
         "sweep": None,
         "fault": None,
         "baseline": None,
@@ -302,33 +310,6 @@ def _validate_sweep(sweep: Any, where: str) -> Dict[str, Any]:
     return sweep
 
 
-def _validate_services(services: Any,
-                       where: str) -> Optional[Dict[str, Any]]:
-    """``services:`` — resilience services to enable, each with its
-    knob values validated (and defaulted) against the service
-    registry's param specs."""
-    if services is None:
-        return None
-    from ..resilience.registry import SERVICE_REGISTRY
-
-    services = _require_mapping(services, "services")
-    out: Dict[str, Any] = {}
-    for name, knobs in services.items():
-        if name not in SERVICE_REGISTRY:
-            raise SchemaError(f"{where}: services: "
-                              + unknown_name_message(
-                                  "resilience service", name,
-                                  SERVICE_REGISTRY.names()))
-        try:
-            out[name] = validate_params(
-                _require_mapping(knobs, f"services.{name}"),
-                SERVICE_REGISTRY.metadata(name).params,
-                f"services.{name}")
-        except RegistryError as error:
-            raise SchemaError(f"{where}: {error}") from None
-    return out or None
-
-
 def _validate_baseline(baseline: Any, where: str) -> Dict[str, Any]:
     from ..baselines.designs import DESIGN_REGISTRY
 
@@ -358,11 +339,6 @@ def _check_baseline_constraints(doc: Mapping[str, Any],
         raise SchemaError(
             f"{where}: 'expect:' is an explicit-mode section; a "
             f"baseline shootout is judged on cell completion")
-    if normalized["services"] is not None:
-        raise SchemaError(
-            f"{where}: 'services:' cannot reach the shootout's "
-            f"per-cell machines; baseline mode compares recovery "
-            f"designs, not resilience services")
     given = _require_mapping(doc.get("workload"), "workload")
     if given:
         raise SchemaError(
@@ -395,10 +371,6 @@ def _check_sweep_constraints(doc: Mapping[str, Any],
         raise SchemaError(
             f"{where}: 'expect:' is an explicit-mode section; a sweep "
             f"always runs the full invariant battery per seed")
-    if normalized["services"] is not None:
-        raise SchemaError(
-            f"{where}: 'services:' is an explicit-mode section; the "
-            f"campaign machinery owns the sweep's machine configs")
     if normalized["workload"]["recipe"] != "generated":
         raise SchemaError(
             f"{where}: workload.recipe: a sweep always uses the "

@@ -33,7 +33,8 @@ Supported:
 
 Deliberately *not* supported (use the Python API for anything this
 exotic): anchors/aliases, multi-document streams, flow mappings,
-block scalars (``|``/``>``), tabs in indentation, lists of mappings.
+block scalars (``|``/``>``), tabs in indentation, lists of mappings,
+unbalanced inline lists (``[a, b`` or ``a]``).
 Unsupported constructs fail loudly with a line number, never parse as
 something silently different.
 
@@ -87,6 +88,9 @@ def _parse_scalar(text: str, line: int, source: str) -> Scalar:
         return int(text.replace("_", ""))
     if _FLOAT_RE.match(text) and any(c in text for c in ".eE"):
         return float(text.replace("_", ""))
+    if text.startswith("[") or text.count("[") != text.count("]"):
+        raise YamlError(f"unbalanced inline list {text[:20]!r}", line,
+                        source)
     for forbidden in ("{", "}", "&", "*", "|", ">"):
         if text.startswith(forbidden):
             raise YamlError(

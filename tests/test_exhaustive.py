@@ -1,21 +1,21 @@
 """The exhaustive single-crash sweep (repro.faults.exhaustive).
 
 The slice below is where a send-path gate once broke three-way delivery:
-with a service that refused user sends registered, crashing cluster 1
+with a service that refused user sends switched on, crashing cluster 1
 at 4,416, 4,530, 4,594 or 4,772 ticks made the pipeline sink print
-``pipe:601`` before ``pipe:600``.  Running it with *every* registered
-service on keeps any such service from coming back unnoticed.
+``pipe:601`` before ``pipe:600``.  Running it with the heartbeat
+detector on keeps any such gate beside detection from coming back
+unnoticed.
 """
 
 from __future__ import annotations
 
 from repro import Machine
 from repro.faults.exhaustive import sweep
-from repro.resilience.registry import service_names
 
 
-def test_pipeline_slice_with_every_service_holds_at_every_crash_time():
-    result = sweep("pipeline", services=service_names(),
+def test_pipeline_slice_with_heartbeat_holds_at_every_crash_time():
+    result = sweep("pipeline", detector="heartbeat",
                    start=4_000, end=5_000)
     # 5 distinct trace times in [4,000, 5,000] x 3 clusters.
     assert result.cells == 15

@@ -19,7 +19,7 @@ import weakref
 import pytest
 
 from repro import Machine, MachineConfig
-from repro.config import BusFaultConfig, ResilienceConfig
+from repro.config import BusFaultConfig
 from repro.core.machine import MachineError
 from repro.faults.campaign import run_campaign
 from repro.faults.injector import FaultInjector, nth_sync
@@ -75,9 +75,8 @@ def _degraded_bus() -> Machine:
     return machine
 
 
-def _every_service() -> Machine:
-    config = MachineConfig(n_clusters=3)
-    config.resilience = ResilienceConfig(heartbeat=True)
+def _heartbeat() -> Machine:
+    config = MachineConfig(n_clusters=3, detector="heartbeat")
     config.bus_faults = BusFaultConfig(loss_rate=0.05, seed=5)
     machine = Machine(config)
     build_bank_workload(machine, n_clients=3, txns_per_client=6)
@@ -88,7 +87,7 @@ def _every_service() -> Machine:
 
 
 @pytest.mark.parametrize("build", [_healthy, _crash_restore, _degraded_bus,
-                                   _every_service])
+                                   _heartbeat])
 def test_closed_machine_is_freed_without_the_collector(no_gc, build):
     machine = build()
     probes = [weakref.ref(target) for target in (

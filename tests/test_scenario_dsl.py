@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from repro.config import MachineConfig, ResilienceConfig
+from repro.config import MachineConfig
 from repro.faults import CampaignPlan
 from repro.faults.kinds import FAULT_REGISTRY, fault_kinds_markdown
 from repro.scenario import yamlite
@@ -76,6 +76,9 @@ def test_yamlite_round_trip():
     ("a: 1\na: 2", "duplicate key"),
     ("a:\n    b: 1\n   c: 2", "unexpected indent"),
     ("just a bare line", "expected 'key: value'"),
+    ("x: [a, b", "unbalanced inline list"),
+    ("x: [a", "unbalanced inline list"),
+    ("x: a]", "unbalanced inline list"),
 ])
 def test_yamlite_rejects_unsupported_constructs(text, fragment):
     with pytest.raises(yamlite.YamlError) as err:
@@ -375,68 +378,87 @@ def test_runner_turns_schema_errors_into_failed_outcomes(tmp_path):
 
 
 def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
-    """Documents naming retired features fail ``scenario validate``
-    against the file with exit 2 and no traceback: the simulator has one
-    engine, so an ``engine:`` section is an unknown top-level key; server
-    inboxes are unbounded, so the inbox knobs are unknown machine keys;
-    machines are sized by ``clusters:`` alone, so ``shape:`` is an
-    unknown machine key; every scenario is judged by the same checks,
-    so ``invariants:`` is an unknown expect key; and a retired
-    resilience service is unknown to the services registry.  The
-    retired config fields are gone from the dataclasses too."""
+    """Documents naming retired features, or values the machine cannot
+    take, fail ``scenario validate`` against the file with exit 2 and
+    no traceback.  The simulator has one engine, so an ``engine:``
+    section is an unknown top-level key; server inboxes are unbounded,
+    so the inbox knobs are unknown machine keys; machines are sized by
+    ``clusters:`` alone, so ``shape:`` is an unknown machine key; every
+    scenario is judged by the same checks, so ``invariants:`` is an
+    unknown expect key; heartbeat is a ``machine: detector:``, so
+    ``services:`` is an unknown top-level key.  A machine or bus value
+    the config rejects, and a fault aimed at a cluster the machine does
+    not have, are schema errors too.  The retired config fields and the
+    service package are gone."""
     from repro.cli import main
 
+    pipeline = "workload:\n  recipe: pipeline\n"
     cases = {
-        "engine.yaml": ("engine:\n  queue: ladder\n",
+        "engine.yaml": (pipeline + "engine:\n  queue: ladder\n",
                         "unknown top-level key 'engine'"),
-        "limit.yaml": ("machine:\n  server_inbox_limit: 2\n",
+        "limit.yaml": (pipeline + "machine:\n  server_inbox_limit: 2\n",
                        "machine: unknown key 'server_inbox_limit'"),
-        "policy.yaml": ("machine:\n  server_inbox_policy: defer\n",
+        "policy.yaml": (pipeline
+                        + "machine:\n  server_inbox_policy: defer\n",
                         "machine: unknown key 'server_inbox_policy'"),
-        "shape.yaml": ("machine:\n  shape: small\n",
+        "shape.yaml": (pipeline + "machine:\n  shape: small\n",
                        "machine: unknown key 'shape'"),
-        "invariants.yaml": ("expect:\n  invariants: [runnability]\n",
+        "invariants.yaml": (pipeline
+                            + "expect:\n  invariants: [runnability]\n",
                             "expect: unknown key 'invariants'"),
+        "services.yaml": (pipeline
+                          + "services:\n  heartbeat:\n"
+                            "    interval: -5\n",
+                          "unknown top-level key 'services'"),
+        "intervl.yaml": (pipeline
+                         + "machine:\n  heartbeat_intervl: 5\n",
+                         "machine: unknown key 'heartbeat_intervl'"),
+        "interval.yaml": (pipeline
+                          + "machine:\n  detector: heartbeat\n"
+                            "  heartbeat_interval: -5\n",
+                          "heartbeat_interval must be >= 1"),
+        "clusters.yaml": (pipeline + "machine:\n  clusters: 99\n",
+                          "supports 2-32 clusters, got 99"),
+        "sweep-clusters.yaml": ("machine:\n  clusters: 1\n"
+                                "sweep:\n  seeds: 2\n",
+                                "supports 2-32 clusters, got 1"),
+        "poll.yaml": (pipeline + "machine:\n  poll_interval: 0\n",
+                      "poll_interval must be >= 1"),
+        "loss.yaml": (pipeline + "bus:\n  loss_rate: 2.0\n",
+                      "loss_rate must be in [0, 1), got 2.0"),
+        "victim.yaml": (pipeline
+                        + "fault:\n  kind: time_crash\n  params:\n"
+                          "    cluster: 7\n    at: 100\n",
+                        "fault.params.cluster: 7 names no cluster of "
+                        "a 3-cluster machine"),
     }
-    for service in ("breaker", "bulkhead", "dlq", "idempotent"):
-        cases[f"{service}.yaml"] = (
-            f"services:\n  {service}:\n",
-            f"services: unknown resilience service '{service}'; "
-            f"known: heartbeat")
-    for name, (section, error) in cases.items():
+    for name, (body, error) in cases.items():
         path = tmp_path / name
-        path.write_text("scenario: old\nworkload:\n  recipe: pipeline\n"
-                        + section)
+        path.write_text("scenario: old\n" + body)
         assert main(["scenario", "validate", str(path)]) == 2
         out = capsys.readouterr().out
-        assert f"{path}: {error}" in out, name
+        assert f"{path}: " in out and error in out, name
         assert "Traceback" not in out
     with pytest.raises(TypeError):
-        ResilienceConfig(dlq=True)
-    with pytest.raises(TypeError):
         MachineConfig(server_inbox_limit=2)
+    with pytest.raises(TypeError):
+        MachineConfig(resilience=None)
+    with pytest.raises(ModuleNotFoundError):
+        import repro.resilience  # noqa: F401
 
 
-def test_scenario_list_shows_the_services_registry(capsys):
-    """``scenario list`` prints the ``services:`` registry with the other
-    two, and ``--params`` adds each service's knobs."""
-    from repro.cli import main
-    from repro.resilience.registry import SERVICE_REGISTRY
-
-    assert main(["scenario", "list"]) == 0
-    out = capsys.readouterr().out
-    assert [line for line in out.splitlines()
-            if line and not line.startswith(" ")] == [
-        "workload recipes (workload: recipe:):",
-        "fault kinds (fault: kind: / sweep: kinds:):",
-        "resilience services (services:):"]
-    section = out.split("resilience services (services:):\n")[1]
-    listed = [line.split()[0] for line in section.splitlines()
-              if line.startswith("  ") and not line.startswith("    ")]
-    assert listed == list(SERVICE_REGISTRY.names())
-    assert main(["scenario", "list", "--params"]) == 0
-    out = capsys.readouterr().out
-    assert "    interval" in out and "default 5000" in out
+def test_run_paths_reports_a_bad_machine_value_and_runs_the_rest(
+        tmp_path):
+    bad = tmp_path / "a-bad.yaml"
+    bad.write_text("scenario: bad\nworkload:\n  recipe: tty\n"
+                   "machine:\n  clusters: 99\n")
+    good = tmp_path / "b-good.yaml"
+    good.write_text("scenario: good\nworkload:\n  recipe: tty\n"
+                    "  params:\n    writers: 1\n    lines: 2\n")
+    outcomes = run_paths(scenario_files(str(tmp_path)))
+    assert [(item.name, item.mode, item.passed) for item in outcomes] \
+        == [("a-bad.yaml", "error", False), ("good", "explicit", True)]
+    assert outcomes[0].violations[0].startswith(f"{bad}: ")
 
 
 # -- plugin registration end to end -----------------------------------
