@@ -31,6 +31,7 @@ from typing import List, Optional
 
 from . import BackupMode, Machine, MachineConfig
 from .baselines import compare_regimes
+from .config import BusFaultConfig, ConfigError
 from .hardware.topology import Topology
 from .metrics import format_table
 from .workloads import (MemoryChurnProgram, TtyWriterProgram,
@@ -373,6 +374,16 @@ def main(argv: Optional[List[str]] = None) -> int:
                                help="show each entry's parameter schema")
     scenario_list.set_defaults(fn=cmd_scenario_list)
     args = parser.parse_args(argv)
+    if hasattr(args, "clusters"):
+        # Check the machine values once, before any command runs or any
+        # campaign worker starts: a bad value is a usage error (exit 2).
+        try:
+            MachineConfig(n_clusters=args.clusters, bus_faults=BusFaultConfig(
+                loss_rate=getattr(args, "loss_rate", None) or 0.0,
+                garble_rate=getattr(args, "garble_rate", None) or 0.0,
+            )).validate()
+        except ConfigError as exc:
+            parser.error(str(exc))
     return args.fn(args)
 
 

@@ -42,10 +42,13 @@ from ..paging.store import PageStore
 from ..fs.shadowfs import ShadowFS
 from ..programs.program import Program
 from ..recovery.detector import HeartbeatMonitor, schedule_detection
-from ..servers import (TtyDevice, make_file_server_harness,
-                       make_page_server_harness, make_raw_server_harness,
-                       make_tty_server_harness, register_server_actions)
+from ..servers import (PeripheralServerHarness, TtyDevice,
+                       register_server_actions)
+from ..servers.fileserver import FileServerProgram, fs_resource_handler
+from ..servers.pageserver import PageServerProgram, page_resource_handler
 from ..servers.processserver import ProcessServerProgram
+from ..servers.rawserver import RawServerProgram, raw_resource_handler
+from ..servers.ttyserver import TtyServerProgram, tty_resource_handler
 from ..sim import Simulator, TraceLog
 from ..types import ClusterId, Pid, Ticks
 
@@ -130,29 +133,30 @@ class Machine:
         self.directory.register_server("proc", proc_pid, 0, 1)
         self.directory.register_server("raw", raw_pid, 0, 1)
 
-        page_store = PageStore(self.disks["pagedisk"], cluster_id=0)
-        self.page_harness = make_page_server_harness(
-            page_store, ports=(0, 1),
-            sync_every=self.config.server_sync_requests)
-        self.page_harness.install(kernel0, kernel1, page_pid)
+        def install(name, program, device, resource_handler):
+            harness = PeripheralServerHarness(
+                name, program, device, ports=(0, 1),
+                resource_handler=resource_handler,
+                sync_every_requests=self.config.server_sync_requests)
+            harness.install(kernel0, kernel1,
+                            self.directory.server(name).pid)
+            return harness
 
-        shadowfs = ShadowFS(self.disks["disk0"], cluster_id=0,
-                            words_per_block=self.config.words_per_page)
-        self.fs_harness = make_file_server_harness(
-            shadowfs, ports=(0, 1),
-            sync_every=self.config.server_sync_requests)
-        self.fs_harness.install(kernel0, kernel1, fs_pid)
-
-        self.tty_harness = make_tty_server_harness(
-            self.tty_device, ports=(0, 1),
-            sync_every=self.config.server_sync_requests)
-        self.tty_harness.install(kernel0, kernel1, tty_pid)
+        self.page_harness = install(
+            "page", PageServerProgram,
+            PageStore(self.disks["pagedisk"], cluster_id=0),
+            page_resource_handler)
+        self.fs_harness = install(
+            "fs", FileServerProgram,
+            ShadowFS(self.disks["disk0"], cluster_id=0,
+                     words_per_block=self.config.words_per_page),
+            fs_resource_handler)
+        self.tty_harness = install("tty", TtyServerProgram, self.tty_device,
+                                   tty_resource_handler)
         self._wire_tty_device_channel(tty_pid)
-
-        self.raw_harness = make_raw_server_harness(
-            self.disks["rawdisk"], ports=(0, 1),
-            sync_every=self.config.server_sync_requests)
-        self.raw_harness.install(kernel0, kernel1, raw_pid)
+        self.raw_harness = install("raw", RawServerProgram,
+                                   self.disks["rawdisk"],
+                                   raw_resource_handler)
 
         proc_mode = (BackupMode.FULLBACK if self.config.n_clusters >= 3
                      else BackupMode.HALFBACK)

@@ -34,7 +34,8 @@ Supported:
 Deliberately *not* supported (use the Python API for anything this
 exotic): anchors/aliases, multi-document streams, flow mappings,
 block scalars (``|``/``>``), tabs in indentation, lists of mappings,
-unbalanced inline lists (``[a, b`` or ``a]``).
+unbalanced inline lists (``[a, b`` or ``a]``), unterminated quoted
+strings (``"abc`` or ``'abc``).
 Unsupported constructs fail loudly with a line number, never parse as
 something silently different.
 
@@ -84,6 +85,9 @@ def _parse_scalar(text: str, line: int, source: str) -> Scalar:
                         .replace("\\t", "\t")
                         .replace("\0", "\\"))
         return body
+    if text[:1] in ("'", '"'):
+        raise YamlError(f"unterminated quoted scalar {text[:20]!r}", line,
+                        source)
     if _INT_RE.match(text):
         return int(text.replace("_", ""))
     if _FLOAT_RE.match(text) and any(c in text for c in ".eE"):

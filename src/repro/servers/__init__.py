@@ -1,14 +1,14 @@
 """Operating-system server processes (sections 7.6 and 7.9)."""
 
 from .base import (ApplyServerSync, ChannelOf, FdOfChannel, LookupServer,
-                   PeripheralServerHarness, ResourceOp, SendServerSync,
-                   ServerError, register_server_actions)
-from .fileserver import (FS_CHANNEL_BASE, FileServerProgram,
-                         make_file_server_harness)
-from .pageserver import PageServerProgram, make_page_server_harness
+                   PeripheralServerHarness, PeripheralServerProgram,
+                   ResourceOp, SendServerSync, ServerError,
+                   register_server_actions)
+from .fileserver import FS_CHANNEL_BASE, FileServerProgram
+from .pageserver import PageServerProgram
 from .processserver import ProcessServerProgram
-from .rawserver import RawServerProgram, make_raw_server_harness
-from .ttyserver import TtyDevice, TtyServerProgram, make_tty_server_harness
+from .rawserver import RawServerProgram
+from .ttyserver import TtyDevice, TtyServerProgram
 
 __all__ = [
     "ApplyServerSync",
@@ -16,19 +16,16 @@ __all__ = [
     "FdOfChannel",
     "LookupServer",
     "PeripheralServerHarness",
+    "PeripheralServerProgram",
     "ResourceOp",
     "SendServerSync",
     "ServerError",
     "register_server_actions",
     "FS_CHANNEL_BASE",
     "FileServerProgram",
-    "make_file_server_harness",
     "PageServerProgram",
-    "make_page_server_harness",
     "ProcessServerProgram",
     "RawServerProgram",
-    "make_raw_server_harness",
     "TtyDevice",
     "TtyServerProgram",
-    "make_tty_server_harness",
 ]

@@ -14,7 +14,12 @@ in the device's other ported cluster that
   and services the remaining saved requests, with re-sent replies
   suppressed by the ordinary writes-since-sync counts.
 
-This module provides the privileged actions server programs use and the
+:class:`PeripheralServerProgram` is the one home of that protocol: it
+counts serviced requests per channel, ships the server sync every N
+requests, applies it at the backup and reattaches the device on
+promotion.  The page, file, tty and raw servers subclass it and supply
+only their request-service states.  This module also provides the
+privileged actions server programs use and the
 :class:`PeripheralServerHarness` that wires a primary/backup pair into two
 kernels.
 """
@@ -22,7 +27,7 @@ kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Callable, Optional, Tuple, Type, TYPE_CHECKING
 
 from ..backup.modes import BackupMode
 from ..kernel.pcb import ProcessControlBlock
@@ -30,8 +35,8 @@ from ..messages.message import (Delivery, DeliveryRole, Message, MessageKind,
                                 QueuedMessage)
 from ..messages.payloads import ServerSync
 from ..messages.routing import PeerKind, RoutingEntry
-from ..programs.actions import Action
-from ..programs.program import Program
+from ..programs.actions import Action, Compute, Read, ReadAny
+from ..programs.program import StateProgram, StepContext
 from ..types import ChannelId, ClusterId, Fd, Pid, Ticks
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,13 +89,136 @@ class ApplyServerSync(Action):
 
 @dataclass(frozen=True)
 class ResourceOp(Action):
-    """Operate on the harness-owned device/resource (shadow fs, page
-    store, tty device).  The harness's resource handler interprets ``op``;
+    """Operate on the harness's ``device`` (page store, shadow fs, tty
+    controller, raw disk).  The harness's resource handler interprets ``op``;
     the action result is whatever it returns, and the cost it reports is
     charged to the work processor."""
 
     op: str
     args: Tuple[Any, ...] = ()
+
+
+# ---------------------------------------------------------------------------
+# the active-backup protocol
+# ---------------------------------------------------------------------------
+
+class PeripheralServerProgram(StateProgram):
+    """The section 7.9 active-backup protocol every peripheral server runs.
+
+    The primary reads any client channel, hands the request to
+    :meth:`serve` and, once the service path reaches state ``count``,
+    counts it against its channel.  Every ``sync_every`` requests (or on
+    a kernel ``("resync",)`` request) it ships a server sync carrying the
+    memory cells named in :attr:`state_cells` and the per-channel
+    serviced counts.  The backup reads only the sync channel: it applies
+    each sync (trimming its saved requests and restoring the cells) and,
+    on ``("promote",)``, reattaches the device through its own port with
+    ``ResourceOp("attach")`` and continues as the primary.
+
+    Subclasses set ``name``, :attr:`state_cells` and, for a server whose
+    sync rides a device flush, :attr:`flush_before_sync`, and implement
+    :meth:`serve` plus the states it continues through.
+    """
+
+    start_state = "route"
+    #: Memory cells shipped in every server sync and restored by the
+    #: backup; each starts as ``()``.
+    state_cells: Tuple[str, ...] = ()
+    #: Issue ``ResourceOp("flush")`` before each sync, so the message
+    #: carries only small state (the file server, section 7.9).
+    flush_before_sync = False
+
+    def declare(self, space) -> None:
+        for cell in self.state_cells + ("serviced", "since_sync"):
+            space.declare(cell, 1)
+
+    def init(self, mem, regs) -> None:
+        super().init(mem, regs)
+        for cell in self.state_cells:
+            mem.set(cell, ())
+        mem.set("serviced", ())    # tuple of (channel_id, count)
+        mem.set("since_sync", 0)   # requests since last server sync
+
+    def serve(self, ctx: StepContext, fd: Any, payload: Any) -> Action:
+        """Start servicing one client request; the path ends at state
+        ``count``."""
+        raise NotImplementedError
+
+    # -- primary path --------------------------------------------------------
+
+    def state_route(self, ctx: StepContext) -> Action:
+        if ctx.regs.get("server_mode") == "backup":
+            ctx.goto("backup_got")
+            return Read(fd=ctx.regs["sync_fd"])
+        ctx.goto("dispatch")
+        return ReadAny(fds=())
+
+    def state_dispatch(self, ctx: StepContext) -> Action:
+        fd, payload = ctx.rv
+        if payload == ("resync",):
+            return self._sync(ctx)
+        ctx.regs["_cur_fd"] = fd
+        return self.serve(ctx, fd, payload)
+
+    def state_count(self, ctx: StepContext) -> Action:
+        ctx.goto("count_done")
+        return ChannelOf(fd=ctx.regs["_cur_fd"])
+
+    def state_count_done(self, ctx: StepContext) -> Action:
+        channel = ctx.rv
+        serviced = dict(ctx.mem.get("serviced"))
+        if channel is not None:
+            serviced[channel] = serviced.get(channel, 0) + 1
+        ctx.mem.set("serviced", tuple(sorted(serviced.items())))
+        since = ctx.mem.get("since_sync") + 1
+        ctx.mem.set("since_sync", since)
+        if since >= ctx.regs.get("sync_every", 32):
+            return self._sync(ctx)
+        ctx.goto("route")
+        return Compute(5)
+
+    def _sync(self, ctx: StepContext) -> Action:
+        if self.flush_before_sync:
+            ctx.goto("flushed")
+            return ResourceOp(op="flush")
+        return self.state_flushed(ctx)
+
+    def state_flushed(self, ctx: StepContext) -> Action:
+        """Ship the server sync (after the device flush, if any)."""
+        state = None
+        if self.state_cells:
+            state = tuple(ctx.mem.get(cell) for cell in self.state_cells)
+        ctx.goto("sync_sent")
+        return SendServerSync(state=state, serviced=ctx.mem.get("serviced"))
+
+    def state_sync_sent(self, ctx: StepContext) -> Action:
+        ctx.mem.set("serviced", ())
+        ctx.mem.set("since_sync", 0)
+        ctx.goto("route")
+        return Compute(5)
+
+    # -- backup path ---------------------------------------------------------
+
+    def state_backup_got(self, ctx: StepContext) -> Action:
+        payload = ctx.rv
+        if isinstance(payload, ServerSync):
+            ctx.regs["_sync_payload"] = payload
+            ctx.goto("backup_state")
+            return ApplyServerSync(payload=payload)
+        if payload == ("promote",):
+            ctx.regs["server_mode"] = "primary"
+            ctx.goto("route")
+            return ResourceOp(op="attach")
+        ctx.goto("route")
+        return Compute(5)
+
+    def state_backup_state(self, ctx: StepContext) -> Action:
+        payload: ServerSync = ctx.regs["_sync_payload"]
+        if payload.state is not None:
+            for cell, value in zip(self.state_cells, payload.state):
+                ctx.mem.set(cell, value)
+        ctx.goto("route")
+        return Compute(5)
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +238,20 @@ class PeripheralServerHarness:
     """Wires one peripheral server (primary + active backup) into the
     machine.
 
-    ``resource_handler`` implements :class:`ResourceOp` against the
-    underlying device; it receives the kernel actually executing, so port
-    reattachment after promotion is just "use the current cluster".
+    ``device`` is the server's device or resource (page store, shadow
+    fs, tty controller, raw disk); ``resource_handler`` implements
+    :class:`ResourceOp` against it.  The handler receives the kernel
+    actually executing, so port reattachment after promotion is just "use
+    the current cluster".
     """
 
-    def __init__(self, name: str, program_factory: Callable[[], Program],
-                 ports: Tuple[ClusterId, ClusterId],
+    def __init__(self, name: str, program: Type[PeripheralServerProgram],
+                 device: Any, ports: Tuple[ClusterId, ClusterId],
                  resource_handler: ResourceHandler,
                  sync_every_requests: int = 32) -> None:
         self.name = name
-        self.program_factory = program_factory
+        self.program = program
+        self.device = device
         self.ports = ports
         self.resource_handler = resource_handler
         self.sync_every_requests = sync_every_requests
@@ -144,34 +275,30 @@ class PeripheralServerHarness:
         register_server_actions(kernel_b)
         kernel_a.server_registry[pid] = self
         kernel_b.server_registry[pid] = self
+        kernel_a.scheduler.make_ready(self._create_process(
+            kernel_a, "primary", kernel_b.cluster_id))
+        kernel_b.scheduler.make_ready(self._create_process(
+            kernel_b, "backup", kernel_a.cluster_id))
 
-        primary = kernel_a.create_process(
-            self.program_factory(), BackupMode.HALFBACK,
-            fixed_pid=pid, is_server=True,
-            backup_cluster=kernel_b.cluster_id, notify_backup=False,
-            sync_reads_threshold=10 ** 9, sync_time_threshold=10 ** 15,
-            make_ready=False)
-        self._wire_sync_channel(kernel_a, primary, kernel_b.cluster_id)
-        primary.regs.update({
-            "server_mode": "primary",
-            "my_cluster": kernel_a.cluster_id,
-            "sync_every": self.sync_every_requests,
-        })
-        kernel_a.scheduler.make_ready(primary)
-
-        backup = kernel_b.create_process(
-            self.program_factory(), BackupMode.HALFBACK,
-            fixed_pid=pid, is_server=True, backup_cluster=None,
+    def _create_process(self, kernel: "ClusterKernel", server_mode: str,
+                        peer_cluster: ClusterId) -> ProcessControlBlock:
+        """One incarnation of the server in ``kernel``, wired to its
+        peer at ``peer_cluster`` and not yet ready to run."""
+        pcb = kernel.create_process(
+            self.program(), BackupMode.HALFBACK,
+            fixed_pid=self.pid, is_server=True,
+            backup_cluster=peer_cluster if server_mode == "primary"
+            else None,
             notify_backup=False,
             sync_reads_threshold=10 ** 9, sync_time_threshold=10 ** 15,
             make_ready=False)
-        self._wire_sync_channel(kernel_b, backup, kernel_a.cluster_id)
-        backup.regs.update({
-            "server_mode": "backup",
-            "my_cluster": kernel_b.cluster_id,
+        self._wire_sync_channel(kernel, pcb, peer_cluster)
+        pcb.regs.update({
+            "server_mode": server_mode,
+            "my_cluster": kernel.cluster_id,
             "sync_every": self.sync_every_requests,
         })
-        kernel_b.scheduler.make_ready(backup)
+        return pcb
 
     def _wire_sync_channel(self, kernel: "ClusterKernel",
                            pcb: ProcessControlBlock,
@@ -208,19 +335,8 @@ class PeripheralServerHarness:
         self.backup_cluster = restored
         restored_kernel.server_registry[self.pid] = self
 
-        backup = restored_kernel.create_process(
-            self.program_factory(), BackupMode.HALFBACK,
-            fixed_pid=self.pid, is_server=True, backup_cluster=None,
-            notify_backup=False,
-            sync_reads_threshold=10 ** 9, sync_time_threshold=10 ** 15,
-            make_ready=False)
-        self._wire_sync_channel(restored_kernel, backup,
-                                self.primary_cluster)
-        backup.regs.update({
-            "server_mode": "backup",
-            "my_cluster": restored,
-            "sync_every": self.sync_every_requests,
-        })
+        backup = self._create_process(restored_kernel, "backup",
+                                      self.primary_cluster)
         for channel_id in self.device_channels:
             restored_kernel.routing.ensure(RoutingEntry(
                 channel_id=channel_id, owner_pid=self.pid, is_backup=True,

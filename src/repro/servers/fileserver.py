@@ -21,12 +21,13 @@ from __future__ import annotations
 from typing import Any, Tuple, TYPE_CHECKING
 
 from ..fs.shadowfs import ShadowFS
-from ..messages.payloads import OpenReply, OpenRequest, ServerSync
-from ..programs.actions import Action, Compute, Read, ReadAny, Write
-from ..programs.program import StateProgram, StepContext
+from ..messages.payloads import OpenReply, OpenRequest
+from ..programs.actions import Action, Compute, Write
+from ..programs.program import StepContext
 from ..types import Ticks
-from .base import (ApplyServerSync, ChannelOf, FdOfChannel, LookupServer,
-                   PeripheralServerHarness, ResourceOp, SendServerSync)
+from .base import (ChannelOf, FdOfChannel, LookupServer,
+                   PeripheralServerHarness, PeripheralServerProgram,
+                   ResourceOp)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import ClusterKernel
@@ -37,40 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover
 FS_CHANNEL_BASE = 1_000_000_000
 
 
-class FileServerProgram(StateProgram):
+class FileServerProgram(PeripheralServerProgram):
     """State machine for the file server's request loop."""
 
     name = "file_server"
-    start_state = "route"
+    state_cells = ("chanmap",   # tuple of (channel_id, file name)
+                   "pending")   # tuple of (name, OpenRequest)
+    flush_before_sync = True
 
-    def declare(self, space) -> None:
-        space.declare("chanmap", 1)     # tuple of (channel_id, file name)
-        space.declare("pending", 1)     # tuple of (name, OpenRequest)
-        space.declare("serviced", 1)    # tuple of (channel_id, count)
-        space.declare("since_sync", 1)
-
-    def init(self, mem, regs) -> None:
-        super().init(mem, regs)
-        mem.set("chanmap", ())
-        mem.set("pending", ())
-        mem.set("serviced", ())
-        mem.set("since_sync", 0)
-
-    # -- routing ---------------------------------------------------------
-
-    def state_route(self, ctx: StepContext) -> Action:
-        if ctx.regs.get("server_mode") == "backup":
-            ctx.goto("backup_got")
-            return Read(fd=ctx.regs["sync_fd"])
-        ctx.goto("dispatch")
-        return ReadAny(fds=())
-
-    def state_dispatch(self, ctx: StepContext) -> Action:
-        fd, payload = ctx.rv
-        if payload == ("resync",):
-            ctx.goto("flushed")
-            return ResourceOp(op="flush")
-        ctx.regs["_cur_fd"] = fd
+    def serve(self, ctx: StepContext, fd: Any, payload: Any) -> Action:
         ctx.regs["_cur_req"] = payload
         if isinstance(payload, OpenRequest):
             return self._dispatch_open(ctx, payload)
@@ -232,71 +208,13 @@ class FileServerProgram(StateProgram):
             return Write(ctx.regs["_cur_fd"], ("data", ctx.rv))
         return Write(ctx.regs["_cur_fd"], ("size", ctx.rv))
 
-    # -- serviced accounting & server sync -----------------------------------
-
-    def state_count(self, ctx: StepContext) -> Action:
-        ctx.goto("count_done")
-        return ChannelOf(fd=ctx.regs["_cur_fd"])
-
-    def state_count_done(self, ctx: StepContext) -> Action:
-        channel = ctx.rv
-        serviced = dict(ctx.mem.get("serviced"))
-        if channel is not None:
-            serviced[channel] = serviced.get(channel, 0) + 1
-        ctx.mem.set("serviced", tuple(sorted(serviced.items())))
-        since = ctx.mem.get("since_sync") + 1
-        ctx.mem.set("since_sync", since)
-        if since >= ctx.regs.get("sync_every", 32):
-            ctx.goto("flushed")
-            return ResourceOp(op="flush")
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_flushed(self, ctx: StepContext) -> Action:
-        """Sync rides the flush (7.9): disk now holds the cache, so the
-        message carries only the small pending state plus counts."""
-        state = (ctx.mem.get("chanmap"), ctx.mem.get("pending"))
-        ctx.goto("sync_sent")
-        return SendServerSync(state=state,
-                              serviced=ctx.mem.get("serviced"))
-
-    def state_sync_sent(self, ctx: StepContext) -> Action:
-        ctx.mem.set("serviced", ())
-        ctx.mem.set("since_sync", 0)
-        ctx.goto("route")
-        return Compute(5)
-
-    # -- backup path --------------------------------------------------------------
-
-    def state_backup_got(self, ctx: StepContext) -> Action:
-        payload = ctx.rv
-        if isinstance(payload, ServerSync):
-            ctx.regs["_sync_payload"] = payload
-            ctx.goto("backup_state")
-            return ApplyServerSync(payload=payload)
-        if payload == ("promote",):
-            ctx.regs["server_mode"] = "primary"
-            ctx.goto("route")
-            return ResourceOp(op="reload")
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_backup_state(self, ctx: StepContext) -> Action:
-        payload: ServerSync = ctx.regs["_sync_payload"]
-        if payload.state is not None:
-            chanmap, pending = payload.state
-            ctx.mem.set("chanmap", chanmap)
-            ctx.mem.set("pending", pending)
-        ctx.goto("route")
-        return Compute(5)
-
 
 def fs_resource_handler(harness: PeripheralServerHarness,
                         kernel: "ClusterKernel",
                         pcb: "ProcessControlBlock", op: str,
                         args: Tuple[Any, ...]) -> Tuple[Ticks, Any]:
     """ResourceOp implementation over the harness's :class:`ShadowFS`."""
-    shadowfs: ShadowFS = harness.shadowfs  # type: ignore[attr-defined]
+    shadowfs: ShadowFS = harness.device
     if op == "create":
         (name,) = args
         shadowfs.create(name)
@@ -319,19 +237,7 @@ def fs_resource_handler(harness: PeripheralServerHarness,
         kernel.metrics.add_busy(f"disk[fs.c{kernel.cluster_id}]", "flush",
                                 disk_cost)
         return kernel.config.costs.disk_issue, True
-    if op == "reload":
+    if op == "attach":
         shadowfs.reattach(kernel.cluster_id)
         return shadowfs.reload(), True
     raise ValueError(f"file server: unknown resource op {op!r}")
-
-
-def make_file_server_harness(shadowfs: ShadowFS, ports: Tuple[int, int],
-                             sync_every: int = 32
-                             ) -> PeripheralServerHarness:
-    """Build the file-server harness around an existing shadow fs."""
-    harness = PeripheralServerHarness(
-        name="fs", program_factory=FileServerProgram, ports=ports,
-        resource_handler=fs_resource_handler,
-        sync_every_requests=sync_every)
-    harness.shadowfs = shadowfs  # type: ignore[attr-defined]
-    return harness

@@ -18,59 +18,26 @@ from typing import Any, Tuple, TYPE_CHECKING
 
 from ..messages.message import Delivery, DeliveryRole, MessageKind
 from ..messages.payloads import (PageAccountOp, PageIn, PageOut, PageReply,
-                                 ServerSync, SyncPayload)
+                                 SyncPayload)
 from ..paging.store import PageStore
-from ..programs.actions import Action, Compute, Read, ReadAny
-from ..programs.program import StateProgram, StepContext
+from ..programs.actions import Action, Compute
+from ..programs.program import StepContext
 from ..types import Ticks
-from .base import (ApplyServerSync, ChannelOf, PeripheralServerHarness,
-                   ResourceOp, SendServerSync)
+from .base import (PeripheralServerHarness, PeripheralServerProgram,
+                   ResourceOp)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import ClusterKernel
     from ..kernel.pcb import ProcessControlBlock
 
 
-class PageServerProgram(StateProgram):
-    """State machine: the primary services page traffic; the backup waits
-    for server syncs until promoted.
-
-    Program state: per-channel serviced counts and a requests-since-sync
-    counter, kept in memory; the control state lives in the ``pc``
-    register like any :class:`StateProgram`.
-    """
+class PageServerProgram(PeripheralServerProgram):
+    """Services page traffic: page-outs, page-in fetches, process syncs
+    and page-account maintenance, each one redo operation on the store."""
 
     name = "page_server"
-    start_state = "route"
 
-    def declare(self, space) -> None:
-        space.declare("serviced", 1)    # tuple of (channel_id, count)
-        space.declare("since_sync", 1)  # requests since last server sync
-
-    def init(self, mem, regs) -> None:
-        super().init(mem, regs)
-        mem.set("serviced", ())
-        mem.set("since_sync", 0)
-
-    # -- routing -------------------------------------------------------------
-
-    def state_route(self, ctx: StepContext) -> Action:
-        if ctx.regs.get("server_mode") == "backup":
-            ctx.goto("backup_got")
-            return Read(fd=ctx.regs["sync_fd"])
-        ctx.goto("dispatch")
-        return ReadAny(fds=())
-
-    # -- primary path -----------------------------------------------------------
-
-    def state_dispatch(self, ctx: StepContext) -> Action:
-        fd, payload = ctx.rv
-        if payload == ("resync",):
-            ctx.goto("sync_sent")
-            return SendServerSync(
-                state=None,
-                serviced=tuple(ctx.mem.get("serviced")))
-        ctx.regs["_cur_fd"] = fd
+    def serve(self, ctx: StepContext, fd: Any, payload: Any) -> Action:
         ctx.goto("count")
         if isinstance(payload, PageOut):
             return ResourceOp(op="page_out",
@@ -87,58 +54,14 @@ class PageServerProgram(StateProgram):
             return ResourceOp(op=payload.op, args=(payload.pid,))
         return Compute(5)  # unknown traffic: ignore (still counted)
 
-    def state_count(self, ctx: StepContext) -> Action:
-        ctx.goto("count_done")
-        return ChannelOf(fd=ctx.regs["_cur_fd"])
-
-    def state_count_done(self, ctx: StepContext) -> Action:
-        channel = ctx.rv
-        serviced = dict(ctx.mem.get("serviced"))
-        if channel is not None:
-            serviced[channel] = serviced.get(channel, 0) + 1
-        ctx.mem.set("serviced", tuple(sorted(serviced.items())))
-        since = ctx.mem.get("since_sync") + 1
-        ctx.mem.set("since_sync", since)
-        if since >= ctx.regs.get("sync_every", 32):
-            ctx.goto("sync_sent")
-            return SendServerSync(state=None,
-                                  serviced=tuple(sorted(serviced.items())))
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_sync_sent(self, ctx: StepContext) -> Action:
-        ctx.mem.set("serviced", ())
-        ctx.mem.set("since_sync", 0)
-        ctx.goto("route")
-        return Compute(5)
-
-    # -- backup path ----------------------------------------------------------
-
-    def state_backup_got(self, ctx: StepContext) -> Action:
-        payload = ctx.rv
-        if isinstance(payload, ServerSync):
-            ctx.regs["_sync_payload"] = payload
-            ctx.goto("backup_applied")
-            return ApplyServerSync(payload=payload)
-        if payload == ("promote",):
-            ctx.regs["server_mode"] = "primary"
-            ctx.goto("route")
-            return ResourceOp(op="reattach")
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_backup_applied(self, ctx: StepContext) -> Action:
-        ctx.goto("route")
-        return Compute(5)
-
 
 def page_resource_handler(harness: PeripheralServerHarness,
                           kernel: "ClusterKernel",
                           pcb: "ProcessControlBlock", op: str,
                           args: Tuple[Any, ...]) -> Tuple[Ticks, Any]:
     """ResourceOp implementation over the harness's :class:`PageStore`."""
-    store: PageStore = harness.store  # type: ignore[attr-defined]
-    if op == "reattach":
+    store: PageStore = harness.device
+    if op == "attach":
         store.reattach(kernel.cluster_id)
         return 0, True
     if op == "page_out":
@@ -171,16 +94,3 @@ def page_resource_handler(harness: PeripheralServerHarness,
         store.drop_accounts(pid)
         return 0, True
     raise ValueError(f"page server: unknown resource op {op!r}")
-
-
-def make_page_server_harness(store: PageStore,
-                             ports: Tuple[int, int],
-                             sync_every: int = 32
-                             ) -> PeripheralServerHarness:
-    """Build the page-server harness around an existing store."""
-    harness = PeripheralServerHarness(
-        name="page", program_factory=PageServerProgram, ports=ports,
-        resource_handler=page_resource_handler,
-        sync_every_requests=sync_every)
-    harness.store = store  # type: ignore[attr-defined]
-    return harness

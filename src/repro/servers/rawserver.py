@@ -17,19 +17,18 @@ from __future__ import annotations
 from typing import Any, Tuple, TYPE_CHECKING
 
 from ..hardware.disk import MirroredDisk
-from ..messages.payloads import ServerSync
-from ..programs.actions import Action, Compute, Read, ReadAny, Write
-from ..programs.program import StateProgram, StepContext
+from ..programs.actions import Action, Compute, Write
+from ..programs.program import StepContext
 from ..types import Ticks
-from .base import (ApplyServerSync, ChannelOf, PeripheralServerHarness,
-                   ResourceOp, SendServerSync)
+from .base import (PeripheralServerHarness, PeripheralServerProgram,
+                   ResourceOp)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import ClusterKernel
     from ..kernel.pcb import ProcessControlBlock
 
 
-class RawServerProgram(StateProgram):
+class RawServerProgram(PeripheralServerProgram):
     """Request loop for direct block access.
 
     Protocol (on a channel opened as ``raw:<n>``):
@@ -38,32 +37,8 @@ class RawServerProgram(StateProgram):
     """
 
     name = "raw_server"
-    start_state = "route"
 
-    def declare(self, space) -> None:
-        space.declare("serviced", 1)
-        space.declare("since_sync", 1)
-
-    def init(self, mem, regs) -> None:
-        super().init(mem, regs)
-        mem.set("serviced", ())
-        mem.set("since_sync", 0)
-
-    def state_route(self, ctx: StepContext) -> Action:
-        if ctx.regs.get("server_mode") == "backup":
-            ctx.goto("backup_got")
-            return Read(fd=ctx.regs["sync_fd"])
-        ctx.goto("dispatch")
-        return ReadAny(fds=())
-
-    def state_dispatch(self, ctx: StepContext) -> Action:
-        fd, payload = ctx.rv
-        if payload == ("resync",):
-            ctx.goto("sync_sent")
-            return SendServerSync(
-                state=None,
-                serviced=tuple(ctx.mem.get("serviced")))
-        ctx.regs["_cur_fd"] = fd
+    def serve(self, ctx: StepContext, fd: Any, payload: Any) -> Action:
         if isinstance(payload, tuple) and payload:
             if payload[0] == "rwrite" and len(payload) == 3:
                 _, block_no, words = payload
@@ -84,53 +59,12 @@ class RawServerProgram(StateProgram):
         ctx.goto("count")
         return Write(ctx.regs["_cur_fd"], ("block", ctx.rv))
 
-    def state_count(self, ctx: StepContext) -> Action:
-        ctx.goto("count_done")
-        return ChannelOf(fd=ctx.regs["_cur_fd"])
-
-    def state_count_done(self, ctx: StepContext) -> Action:
-        channel = ctx.rv
-        serviced = dict(ctx.mem.get("serviced"))
-        if channel is not None:
-            serviced[channel] = serviced.get(channel, 0) + 1
-        ctx.mem.set("serviced", tuple(sorted(serviced.items())))
-        since = ctx.mem.get("since_sync") + 1
-        ctx.mem.set("since_sync", since)
-        if since >= ctx.regs.get("sync_every", 32):
-            ctx.goto("sync_sent")
-            return SendServerSync(state=None,
-                                  serviced=tuple(sorted(serviced.items())))
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_sync_sent(self, ctx: StepContext) -> Action:
-        ctx.mem.set("serviced", ())
-        ctx.mem.set("since_sync", 0)
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_backup_got(self, ctx: StepContext) -> Action:
-        payload = ctx.rv
-        if isinstance(payload, ServerSync):
-            ctx.goto("backup_applied")
-            return ApplyServerSync(payload=payload)
-        if payload == ("promote",):
-            ctx.regs["server_mode"] = "primary"
-            ctx.goto("route")
-            return ResourceOp(op="attach")
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_backup_applied(self, ctx: StepContext) -> Action:
-        ctx.goto("route")
-        return Compute(5)
-
 
 def raw_resource_handler(harness: PeripheralServerHarness,
                          kernel: "ClusterKernel",
                          pcb: "ProcessControlBlock", op: str,
                          args: Tuple[Any, ...]) -> Tuple[Ticks, Any]:
-    disk: MirroredDisk = harness.disk  # type: ignore[attr-defined]
+    disk: MirroredDisk = harness.device
     if op == "write":
         block_no, words = args
         disk_cost = disk.write(kernel.cluster_id, block_no, words)
@@ -144,14 +78,3 @@ def raw_resource_handler(harness: PeripheralServerHarness,
     if op == "attach":
         return 0, True
     raise ValueError(f"raw server: unknown resource op {op!r}")
-
-
-def make_raw_server_harness(disk: MirroredDisk, ports: Tuple[int, int],
-                            sync_every: int = 32
-                            ) -> PeripheralServerHarness:
-    harness = PeripheralServerHarness(
-        name="raw", program_factory=RawServerProgram, ports=ports,
-        resource_handler=raw_resource_handler,
-        sync_every_requests=sync_every)
-    harness.disk = disk  # type: ignore[attr-defined]
-    return harness

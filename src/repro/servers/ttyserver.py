@@ -20,12 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, List, Set, Tuple, TYPE_CHECKING
 
-from ..messages.payloads import ServerSync
-from ..programs.actions import Action, Compute, Read, ReadAny, Write
-from ..programs.program import StateProgram, StepContext
+from ..programs.actions import Action, Compute, Write
+from ..programs.program import StepContext
 from ..types import Ticks
-from .base import (ApplyServerSync, ChannelOf, FdOfChannel,
-                   PeripheralServerHarness, ResourceOp, SendServerSync)
+from .base import (ChannelOf, FdOfChannel, PeripheralServerHarness,
+                   PeripheralServerProgram, ResourceOp)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..kernel.kernel import ClusterKernel
@@ -60,43 +59,14 @@ class TtyDevice:
         return [text for _, text in self.output]
 
 
-class TtyServerProgram(StateProgram):
+class TtyServerProgram(PeripheralServerProgram):
     """Request loop: writes go to the device, reads pair with input."""
 
     name = "tty_server"
-    start_state = "route"
+    state_cells = ("input_buf",      # tuple of pending input lines
+                   "pending_reads")  # tuple of channel ids, FIFO
 
-    def declare(self, space) -> None:
-        space.declare("input_buf", 1)    # tuple of pending input lines
-        space.declare("pending_reads", 1)  # tuple of channel ids, FIFO
-        space.declare("serviced", 1)
-        space.declare("since_sync", 1)
-
-    def init(self, mem, regs) -> None:
-        super().init(mem, regs)
-        mem.set("input_buf", ())
-        mem.set("pending_reads", ())
-        mem.set("serviced", ())
-        mem.set("since_sync", 0)
-
-    # -- routing -----------------------------------------------------------
-
-    def state_route(self, ctx: StepContext) -> Action:
-        if ctx.regs.get("server_mode") == "backup":
-            ctx.goto("backup_got")
-            return Read(fd=ctx.regs["sync_fd"])
-        ctx.goto("dispatch")
-        return ReadAny(fds=())
-
-    def state_dispatch(self, ctx: StepContext) -> Action:
-        fd, payload = ctx.rv
-        if payload == ("resync",):
-            ctx.goto("sync_sent")
-            return SendServerSync(
-                state=(ctx.mem.get("input_buf"),
-                       ctx.mem.get("pending_reads")),
-                serviced=tuple(ctx.mem.get("serviced")))
-        ctx.regs["_cur_fd"] = fd
+    def serve(self, ctx: StepContext, fd: Any, payload: Any) -> Action:
         ctx.regs["_cur_req"] = payload
         if isinstance(payload, tuple) and payload:
             tag = payload[0]
@@ -156,66 +126,13 @@ class TtyServerProgram(StateProgram):
         ctx.goto("count")
         return Compute(5)
 
-    # -- serviced accounting & server sync ---------------------------------------
-
-    def state_count(self, ctx: StepContext) -> Action:
-        ctx.goto("count_done")
-        return ChannelOf(fd=ctx.regs["_cur_fd"])
-
-    def state_count_done(self, ctx: StepContext) -> Action:
-        channel = ctx.rv
-        serviced = dict(ctx.mem.get("serviced"))
-        if channel is not None:
-            serviced[channel] = serviced.get(channel, 0) + 1
-        ctx.mem.set("serviced", tuple(sorted(serviced.items())))
-        since = ctx.mem.get("since_sync") + 1
-        ctx.mem.set("since_sync", since)
-        if since >= ctx.regs.get("sync_every", 32):
-            state = (ctx.mem.get("input_buf"),
-                     ctx.mem.get("pending_reads"))
-            ctx.goto("sync_sent")
-            return SendServerSync(state=state,
-                                  serviced=tuple(sorted(serviced.items())))
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_sync_sent(self, ctx: StepContext) -> Action:
-        ctx.mem.set("serviced", ())
-        ctx.mem.set("since_sync", 0)
-        ctx.goto("route")
-        return Compute(5)
-
-    # -- backup path ------------------------------------------------------------------
-
-    def state_backup_got(self, ctx: StepContext) -> Action:
-        payload = ctx.rv
-        if isinstance(payload, ServerSync):
-            ctx.regs["_sync_payload"] = payload
-            ctx.goto("backup_state")
-            return ApplyServerSync(payload=payload)
-        if payload == ("promote",):
-            ctx.regs["server_mode"] = "primary"
-            ctx.goto("route")
-            return ResourceOp(op="attach")
-        ctx.goto("route")
-        return Compute(5)
-
-    def state_backup_state(self, ctx: StepContext) -> Action:
-        payload: ServerSync = ctx.regs["_sync_payload"]
-        if payload.state is not None:
-            input_buf, pending_reads = payload.state
-            ctx.mem.set("input_buf", input_buf)
-            ctx.mem.set("pending_reads", pending_reads)
-        ctx.goto("route")
-        return Compute(5)
-
 
 def tty_resource_handler(harness: PeripheralServerHarness,
                          kernel: "ClusterKernel",
                          pcb: "ProcessControlBlock", op: str,
                          args: Tuple[Any, ...]) -> Tuple[Ticks, Any]:
     """ResourceOp implementation over the harness's :class:`TtyDevice`."""
-    device: TtyDevice = harness.device  # type: ignore[attr-defined]
+    device: TtyDevice = harness.device
     if op == "write":
         text, key = args
         accepted = device.write(text, key)
@@ -227,14 +144,3 @@ def tty_resource_handler(harness: PeripheralServerHarness,
     if op == "attach":
         return 0, True
     raise ValueError(f"tty server: unknown resource op {op!r}")
-
-
-def make_tty_server_harness(device: TtyDevice, ports: Tuple[int, int],
-                            sync_every: int = 32
-                            ) -> PeripheralServerHarness:
-    harness = PeripheralServerHarness(
-        name="tty", program_factory=TtyServerProgram, ports=ports,
-        resource_handler=tty_resource_handler,
-        sync_every_requests=sync_every)
-    harness.device = device  # type: ignore[attr-defined]
-    return harness

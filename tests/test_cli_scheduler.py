@@ -40,6 +40,22 @@ def test_cli_requires_command():
         main([])
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["campaign", "--clusters", "1", "--seeds", "1"],
+     "supports 2-32 clusters, got 1"),
+    (["campaign", "--loss-rate", "2.0"], "loss_rate must be in [0, 1)"),
+    (["demo", "--clusters", "1"], "supports 2-32 clusters, got 1"),
+    (["oltp", "--clusters", "40"], "supports 2-32 clusters, got 40"),
+])
+def test_cli_bad_machine_value_is_a_usage_error(argv, message, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 # -- scheduler ---------------------------------------------------------------------
 
 def test_two_work_processors_run_in_parallel():

@@ -115,7 +115,7 @@ def test_raw_server_survives_primary_cluster_crash():
 def test_raw_and_fs_use_separate_disks():
     machine = make_machine()
     assert machine.disks["rawdisk"] is not machine.disks["disk0"]
-    assert machine.raw_harness.disk is machine.disks["rawdisk"]
+    assert machine.raw_harness.device is machine.disks["rawdisk"]
 
 
 # -- cluster restoration details -------------------------------------------------

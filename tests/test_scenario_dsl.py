@@ -79,6 +79,8 @@ def test_yamlite_round_trip():
     ("x: [a, b", "unbalanced inline list"),
     ("x: [a", "unbalanced inline list"),
     ("x: a]", "unbalanced inline list"),
+    ('x: "abc', "unterminated quoted scalar"),
+    ("x: 'abc", "unterminated quoted scalar"),
 ])
 def test_yamlite_rejects_unsupported_constructs(text, fragment):
     with pytest.raises(yamlite.YamlError) as err:

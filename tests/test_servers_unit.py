@@ -5,9 +5,11 @@ import pytest
 
 from repro.messages.payloads import ServerSync
 from repro.servers import TtyDevice
-from repro.workloads import FileWorkerProgram, TtyWriterProgram
+from repro.workloads import (FileWorkerProgram, MemoryChurnProgram,
+                             TtyWriterProgram)
 from repro.programs import Compute, Exit, Open, Read, StateProgram, Write
 from tests.conftest import make_machine
+from tests.test_rawserver_restore import RawWorker
 
 
 # -- TtyDevice dedup ------------------------------------------------------------
@@ -66,6 +68,53 @@ def test_server_sync_discards_exactly_serviced(quiet_config):
     serviced = machine.metrics.counter("server.requests_discarded")
     assert serviced >= 12
     assert saved < 20
+
+
+#: One client per peripheral server, each driving that server's traffic.
+SERVER_CLIENTS = {
+    "page": lambda: MemoryChurnProgram(pages=4, rounds=12, compute=500,
+                                       total_pages=16),
+    "fs": lambda: FileWorkerProgram(records=10, tag="f"),
+    "tty": lambda: TtyWriterProgram(lines=12, tag="t", compute=500),
+    "raw": lambda: RawWorker(blocks=6),
+}
+
+
+def _server_run(server, crash_at=None):
+    machine = make_machine(server_sync_requests=3)
+    pid = machine.spawn(SERVER_CLIENTS[server](), cluster=2,
+                        sync_reads_threshold=3, sync_time_threshold=3_000)
+    if crash_at is not None:
+        machine.crash_cluster(0, at=crash_at)
+    machine.run_until_idle(max_events=30_000_000)
+    return machine, pid
+
+
+@pytest.mark.parametrize("server", sorted(SERVER_CLIENTS))
+def test_every_peripheral_server_runs_the_active_backup_protocol(server):
+    machine, pid = _server_run(server)
+    assert machine.exits[pid] == 0
+    harness = getattr(machine, f"{server}_harness")
+    primary = machine.kernels[0].pcbs[harness.pid]
+    assert primary.regs.get("_server_sync_seq", 0) >= 2
+    # The backup's saved requests are exactly the ones the primary has
+    # serviced since its last server sync: every earlier one was trimmed.
+    space = primary.space
+    unsynced = dict(space.read_word(space.address_of("serviced")))
+    saved = {entry.channel_id: len(entry.queue)
+             for entry in machine.kernels[1].routing.entries_for_pid(
+                 harness.pid)
+             if entry.is_backup and entry.queue}
+    assert saved == unsynced
+
+    # Crash the primaries' cluster mid-run: the backup is promoted and
+    # the client sees what it saw without the crash.
+    crashed, crashed_pid = _server_run(server, crash_at=machine.sim.now // 2)
+    promoted = getattr(crashed, f"{server}_harness")
+    assert promoted.primary_cluster == 1
+    assert crashed.metrics.counter("server.promotions") >= 4
+    assert crashed.exits == machine.exits
+    assert crashed.tty_output() == machine.tty_output()
 
 
 def test_fs_allocated_channels_dont_collide_with_kernel_ids():
