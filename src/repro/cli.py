@@ -384,6 +384,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             )).validate()
         except ConfigError as exc:
             parser.error(str(exc))
+    if args.command == "campaign":
+        if args.seeds < 1:
+            parser.error(f"--seeds must be >= 1, got {args.seeds}")
+        if args.verify < 0:
+            parser.error(f"--verify must be >= 0, got {args.verify}")
     return args.fn(args)
 
 

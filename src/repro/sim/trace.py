@@ -20,28 +20,39 @@ explicit set of categories; category subscriptions are dispatched through
 a per-category index, so a fault-injection trigger armed on
 ``sync.primary`` never pays for the flood of ``bus.*`` records.
 
-What a traced run *retains* is one flat tuple per record, not a record
-object: ``(time, category, keys, *values)``, where ``keys`` is the emit
-site's keyword-name tuple, shared between every record the site emits.
-A :class:`TraceRecord` is a view built from a row when someone reads the
-log, or at emit time when a listener is subscribed to the category.
+What a traced run *retains* is columns, not a record object per entry:
+
+* ``_times``, an ``array("q")`` of emit times, so ``time`` must be an
+  ``int`` number of ticks (the simulator's clock; anything else raises
+  ``TypeError`` at ``emit``);
+* ``_sids``, an ``array("I")`` of schema ids, a schema being the
+  ``(category, keys)`` pair of one emit-site signature, interned once
+  (a few dozen per run);
+* ``_values``, one flat list holding every record's detail values in
+  emit order, ``len(keys)`` of them per record, so readers find a
+  record's values by walking the columns in order.
+
+A :class:`TraceRecord` is a view built from the columns when someone
+reads the log, or at emit time when a listener is subscribed to the
+category.
 """
 
 from __future__ import annotations
 
+from array import array
 from sys import intern
 from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
 
 Listener = Callable[["TraceRecord"], None]
 
-#: One stored record: ``(time, category, keys, *values)``.
-Row = Tuple[Any, ...]
+#: One interned emit-site signature: ``(category, keys)``.
+Schema = Tuple[str, Tuple[str, ...]]
 
 
 def _format_line(time: int, category: str, keys: Iterable[str],
                  values: Iterable[Any]) -> str:
-    """The one-line rendering shared by records and stored rows."""
+    """The one-line rendering shared by records and the stored columns."""
     parts = " ".join(f"{key}={value!r}" for key, value in zip(keys, values))
     return f"[{time:>12}] {category:<24} {parts}"
 
@@ -50,7 +61,7 @@ class TraceRecord:
     """One timeline entry: what happened, when, and structured details.
 
     This is what readers and listeners see, not what :class:`TraceLog`
-    stores: the log keeps flat rows and builds a record per row on
+    stores: the log keeps columns and builds a record per entry on
     iteration/``select`` (and per emit for a subscribed listener), so
     two reads of the same entry give equal but distinct objects, and
     changing a record changes nothing in the log.  Slotted and category-
@@ -84,20 +95,19 @@ class TraceRecord:
                             detail.values())
 
 
-def _record_of(row: Row) -> TraceRecord:
-    return TraceRecord(row[0], row[1], dict(zip(row[2], row[3:])))
-
-
 class TraceLog:
     """An append-only, filterable log read as :class:`TraceRecord` entries.
 
-    Storage is one flat tuple per record (see the module docstring);
-    ``__iter__``, :meth:`select` and listeners hand out records built
-    from the rows, :meth:`lines`/:meth:`dump`/:meth:`tail` format the
-    rows directly.
+    Storage is columnar (see the module docstring): a record is one
+    entry in each of the time and schema-id arrays plus its values in
+    the flat value list.  ``__iter__``, :meth:`select` and listeners
+    hand out records built from the columns;
+    :meth:`lines`/:meth:`dump`/:meth:`tail` format the columns
+    directly, and :meth:`count` counts schema ids without reading a
+    record.  ``time`` is an ``int`` number of ticks.
 
     Tracing can be disabled wholesale (``enabled=False``) for benchmark runs
-    where the retained rows themselves would dominate cost; counters in
+    where the retained records themselves would dominate cost; counters in
     :mod:`repro.metrics` stay live regardless.
     """
 
@@ -105,10 +115,14 @@ class TraceLog:
                  categories: Optional[List[str]] = None) -> None:
         self._enabled = enabled
         self._only = set(categories) if categories is not None else None
-        self._rows: List[Row] = []
-        #: Key tuple -> the one shared instance every row of that shape
-        #: points at (one per emit-site signature, a few dozen per run).
-        self._schemas: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+        self._times = array("q")
+        self._sids = array("I")
+        self._values: List[Any] = []
+        #: Schema id -> schema, and ``(category, *keys)`` -> schema id:
+        #: one entry per emit-site signature, a few dozen per run, kept
+        #: across :meth:`clear`.
+        self._schemas: List[Schema] = []
+        self._schema_ids: Dict[Tuple[str, ...], int] = {}
         self._listeners: List[Listener] = []
         self._by_category: Dict[str, List[Listener]] = {}
         #: True when :meth:`emit` has any work to do (recording on, or at
@@ -137,10 +151,38 @@ class TraceLog:
                            or self._by_category)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._times)
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return map(_record_of, self._rows)
+        for time, category, keys, values in self._rows():
+            yield TraceRecord(time, category, dict(zip(keys, values)))
+
+    def _rows(self, first: int = 0, last: Optional[int] = None,
+              category: Optional[str] = None
+              ) -> Iterator[Tuple[int, str, Tuple[str, ...], List[Any]]]:
+        """``(time, category, keys, values)`` of records ``[first:last]``
+        (non-negative bounds), optionally of one category only, read from
+        the columns in order."""
+        schemas, values = self._schemas, self._values
+        widths = [len(keys) for _, keys in schemas]
+        # Records [first:] hold the last values of the list: counting
+        # back from its end reads only them, so tail() reads no more
+        # than it returns.
+        offset = len(values) - sum(map(widths.__getitem__,
+                                       self._sids[first:]))
+        for time, sid in zip(self._times[first:last],
+                             self._sids[first:last]):
+            name, keys = schemas[sid]
+            end = offset + len(keys)
+            if category is None or name == category:
+                yield time, name, keys, values[offset:end]
+            offset = end
+
+    def _add_schema(self, signature: Tuple[str, ...]) -> int:
+        sid = len(self._schemas)
+        self._schemas.append((signature[0], signature[1:]))
+        self._schema_ids[signature] = sid
+        return sid
 
     def subscribe(self, listener: Listener,
                   categories: Optional[Sequence[str]] = None) -> None:
@@ -199,13 +241,15 @@ class TraceLog:
         if not self.active:
             return
         if self._enabled and (self._only is None or category in self._only):
-            keys = tuple(detail)
-            schemas = self._schemas
+            signature = (category, *detail)
             try:
-                keys = schemas[keys]
+                sid = self._schema_ids[signature]
             except KeyError:
-                schemas[keys] = keys
-            self._rows.append((time, category, keys, *detail.values()))
+                sid = self._add_schema(signature)
+            # Times first: a non-int time raises before any column grows.
+            self._times.append(time)
+            self._sids.append(sid)
+            self._values.extend(detail.values())
         listeners = self._listeners
         scoped = self._by_category.get(category)
         if not listeners and not scoped:
@@ -229,40 +273,46 @@ class TraceLog:
                where: Optional[Callable[[TraceRecord], bool]] = None
                ) -> List[TraceRecord]:
         """Return records matching ``category`` and/or predicate ``where``."""
-        result = []
-        for row in self._rows:
-            if category is not None and row[1] != category:
-                continue
-            record = _record_of(row)
-            if where is not None and not where(record):
-                continue
-            result.append(record)
-        return result
+        records = (TraceRecord(time, name, dict(zip(keys, values)))
+                   for time, name, keys, values in self._rows(
+                       category=category))
+        if where is None:
+            return list(records)
+        return [record for record in records if where(record)]
 
     def count(self, category: str) -> int:
         """Number of records in ``category``."""
-        return sum(1 for row in self._rows if row[1] == category)
+        return sum(self._sids.count(sid)
+                   for sid, schema in enumerate(self._schemas)
+                   if schema[0] == category)
 
     def lines(self, start: Optional[int] = None,
               stop: Optional[int] = None) -> List[str]:
         """Records ``[start:stop]`` (slice semantics; default all) as the
         lines :meth:`TraceRecord.format` renders, formatted straight from
-        the stored rows without building a record each."""
-        return [_format_line(row[0], row[1], row[2], row[3:])
-                for row in self._rows[start:stop]]
+        the columns without building a record each."""
+        first, last, _ = slice(start, stop).indices(len(self._times))
+        return [_format_line(*row) for row in self._rows(first, last)]
 
     def dump(self, limit: Optional[int] = None) -> str:
-        """Render the (optionally truncated) trace as text."""
+        """Render the trace, or its first ``limit`` records and a count of
+        the rest, as text."""
+        if limit is not None and limit < 0:
+            raise ValueError(f"dump limit must be >= 0, not {limit}")
         lines = self.lines(stop=limit)
-        if limit is not None and len(self._rows) > limit:
-            lines.append(f"... {len(self._rows) - limit} more records")
+        if limit is not None and len(self) > limit:
+            lines.append(f"... {len(self) - limit} more records")
         return "\n".join(lines)
 
     def tail(self, count: int) -> List[str]:
         """The last ``count`` records as formatted lines (failure reports
         show the end of a diverged run's timeline)."""
-        return self.lines(start=-count)
+        if count < 0:
+            raise ValueError(f"tail count must be >= 0, not {count}")
+        return self.lines(start=max(len(self) - count, 0))
 
     def clear(self) -> None:
         """Drop all records (keeps enabled/filter settings)."""
-        self._rows.clear()
+        self._times = array("q")
+        self._sids = array("I")
+        self._values = []

@@ -46,6 +46,10 @@ def test_cli_requires_command():
     (["campaign", "--loss-rate", "2.0"], "loss_rate must be in [0, 1)"),
     (["demo", "--clusters", "1"], "supports 2-32 clusters, got 1"),
     (["oltp", "--clusters", "40"], "supports 2-32 clusters, got 40"),
+    (["campaign", "--seeds", "0"], "--seeds must be >= 1, got 0"),
+    (["campaign", "--seeds", "-3"], "--seeds must be >= 1, got -3"),
+    (["campaign", "--seeds", "3", "--verify", "-1"],
+     "--verify must be >= 0, got -1"),
 ])
 def test_cli_bad_machine_value_is_a_usage_error(argv, message, capsys):
     with pytest.raises(SystemExit) as exit_info:

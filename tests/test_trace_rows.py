@@ -1,16 +1,18 @@
-"""TraceLog's flat-row storage against the list-of-records model it replaced.
+"""TraceLog's columnar storage against the list-of-records model it replaced.
 
-``TraceLog`` retains one flat tuple per record and hands out
-:class:`TraceRecord` views on demand.  Nothing a reader or a listener
-can observe may differ from the obvious implementation — a list of
+``TraceLog`` retains each record as one entry in its time and schema-id
+columns plus its values in one flat list, and hands out
+:class:`TraceRecord` views on demand.  Nothing a reader or a listener can
+observe may differ from the obvious implementation — a list of
 ``TraceRecord`` objects, one built per emit — which is kept here as the
 reference.  A seeded random sequence of emits (varying categories, key
 sets and value types), wildcard and scoped (un)subscriptions, including
 ones made from inside a listener callback, ``enabled`` toggles and
 ``clear()`` calls is driven through both in lockstep, with and without a
 ``categories=`` storage filter; length, iteration, ``select``, ``count``,
-``tail``, ``dump``, ``lines`` and every record every listener saw must
-agree.
+``tail``, ``dump``, ``lines`` (every slice of the log) and every record
+every listener saw must agree, and so must the ``ValueError`` a negative
+``tail`` count or ``dump`` limit raises.
 
 The second half pins what the layout is for: retained bytes per record
 on a traced bank run.
@@ -105,13 +107,18 @@ class ReferenceTraceLog:
         return [record.format() for record in self._records[start:stop]]
 
     def dump(self, limit: Optional[int] = None) -> str:
+        if limit is not None and limit < 0:
+            raise ValueError(limit)
         lines = self.lines(stop=limit)
         if limit is not None and len(self._records) > limit:
             lines.append(f"... {len(self._records) - limit} more records")
         return "\n".join(lines)
 
     def tail(self, count: int) -> List[str]:
-        return self.lines(start=-count)
+        if count < 0:
+            raise ValueError(count)
+        return [record.format()
+                for record in self._records[max(len(self) - count, 0):]]
 
     def clear(self) -> None:
         self._records.clear()
@@ -121,7 +128,7 @@ CATEGORIES = ["bus.transmit", "bus.deliver", "sync.primary", "proc.exit",
               "x", "a.much.longer.category.name.than.the.column"]
 
 #: Key sets an emit draws from: shared keys in different orders, a
-#: singleton, the empty detail, and a wide one.
+#: singleton, the empty detail and a wide one.
 KEY_SETS = [(), ("pid",), ("pid", "cluster"), ("cluster", "pid"),
             ("src", "msg", "targets"),
             ("kind", "link", "src", "seq", "attempt", "extra")]
@@ -195,11 +202,18 @@ def _assert_same(real: TraceLog, model: ReferenceTraceLog,
 
     assert real.select(where=where) == model.select(where=where)
     assert real.select(category, where) == model.select(category, where)
-    for count in (0, 1, 5, len(model) + 3):
+    size = len(model)
+    for count in (0, 1, 5, size, size + 3):
         assert real.tail(count) == model.tail(count)
-    for limit in (None, 0, 2, len(model), len(model) + 1):
+    for limit in (None, 0, 2, size, size + 1):
         assert real.dump(limit) == model.dump(limit)
-    start, stop = rng.randrange(-4, 6), rng.randrange(-4, 12)
+    for log in (real, model):
+        with pytest.raises(ValueError):
+            log.tail(-2)
+        with pytest.raises(ValueError):
+            log.dump(-1)
+    start = rng.randrange(-size - 2, size + 3)
+    stop = rng.randrange(-size - 2, size + 3)
     assert real.lines(start, stop) == model.lines(start, stop)
 
 
@@ -211,6 +225,7 @@ def test_rows_match_record_list_model(seed, only):
     real = TraceLog(enabled=enabled, categories=only)
     model = ReferenceTraceLog(enabled=enabled, categories=only)
     pairs = [Pair(index, real, model) for index in range(5)]
+    key_sets = list(KEY_SETS)
     now = 0
 
     def both(action: Callable) -> None:
@@ -222,7 +237,7 @@ def test_rows_match_record_list_model(seed, only):
         if roll < 0.62:
             now += rng.randrange(0, 2_000_000)
             category = rng.choice(CATEGORIES)
-            keys = rng.choice(KEY_SETS)
+            keys = rng.choice(key_sets)
             detail = {key: _value(rng) for key in keys}
             both(lambda log: log.emit(now, category, **detail))
         elif roll < 0.72:
@@ -254,6 +269,9 @@ def test_rows_match_record_list_model(seed, only):
             model.enabled = value
         else:
             both(lambda log: log.clear())
+            # Key sets never emitted before the clear.
+            key_sets.append((f"after_clear_{step}", "pid"))
+            key_sets.append((f"after_clear_{step}",))
         if step % 7 == 0:
             _assert_same(real, model, rng)
     _assert_same(real, model, rng)
@@ -281,7 +299,22 @@ def test_rows_of_one_emit_site_share_their_key_tuple():
     for tick in range(50):
         trace.emit(tick, "sync.primary", pid=tick, cluster=1)
         trace.emit(tick, "sync.applied", cluster=1, pid=tick)
-    assert len({id(row[2]) for row in trace._rows}) == 2
+    assert trace._schemas == [
+        ("sync.primary", ("pid", "cluster")),
+        ("sync.applied", ("cluster", "pid"))]
+    assert list(trace._sids) == [0, 1] * 50
+    trace.clear()
+    trace.emit(50, "sync.applied", cluster=2, pid=3)
+    assert len(trace._schemas) == 2 and list(trace._sids) == [1]
+
+
+def test_time_is_int_ticks():
+    trace = TraceLog()
+    trace.emit(3, "proc.exit", pid=1)
+    with pytest.raises(TypeError):
+        trace.emit(4.5, "proc.exit", pid=2)
+    assert len(trace) == 1
+    assert trace.lines() == ["[           3] proc.exit                pid=1"]
 
 
 # -- what the layout is for -------------------------------------------------
@@ -306,6 +339,7 @@ def test_retained_bytes_per_record_bound():
     traced, records = _retained_by_bank_run(trace_enabled=True)
     assert no_records == 0 and records > 3000
     per_record = (traced - quiet) / records
-    # One row tuple, the describe() string, the time int and the list
-    # slot; a record object plus its detail dict per entry was ~440.
-    assert per_record <= 260, per_record
+    # The describe() string, its value-list slot and 12 B of columns; a
+    # flat row tuple per entry was ~204, a record object plus its
+    # detail dict ~440.
+    assert per_record <= 140, per_record
