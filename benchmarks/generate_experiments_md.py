@@ -154,7 +154,8 @@ COMMENTARY = {
     "E13": (
         "## E13 — negative ablations (sections 5.1, 5.4)",
         "**Why three destinations and a write count?**  Each mechanism is"
-        " removed behind a config flag and a failure lands in the gap:",
+        " removed by a method patch (`tests/ablations.py`) and a failure"
+        " lands in the gap:",
         "**Shape check:** without the DEST_BACKUP saved queues, the"
         " promoted bank server has no input to replay and every client"
         " hangs.  Without writes-since-sync suppression, a restarted"

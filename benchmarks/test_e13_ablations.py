@@ -12,7 +12,10 @@ cluster crashing mid-run:
   the stale duplicates as replies to *later* requests and desynchronize.
 
 Runs are time-bounded because the broken variants deadlock by design.
+The ablations themselves are method patches in ``tests/ablations.py``.
 """
+
+from contextlib import nullcontext
 
 from repro import BackupMode, Machine, MachineConfig
 from repro.metrics import format_table
@@ -22,22 +25,21 @@ from repro.workloads.oltp import generate_transfers
 from repro.sim.rng import DeterministicRNG
 
 from conftest import run_once
+from tests.ablations import no_saved_queues, no_send_suppression
 
 DEADLINE = 600_000
 
+VARIANTS = {"full": nullcontext, "no_saved_queues": no_saved_queues}
+
 
 def run_variant(name):
-    config = MachineConfig(n_clusters=4, trace_enabled=False)
-    if name == "no_saved_queues":
-        config.ablate_dest_backup_save = True
-    elif name == "no_suppression":
-        config.ablate_send_suppression = True
-    machine = Machine(config.validate())
-    server, clients, _ = build_bank_workload(
-        machine, n_clients=3, txns_per_client=8,
-        server_mode=BackupMode.FULLBACK, server_cluster=2)
-    machine.crash_cluster(2, at=8_000)
-    machine.run(until=DEADLINE)
+    with VARIANTS[name]():
+        machine = Machine(MachineConfig(n_clusters=4, trace_enabled=False))
+        server, clients, _ = build_bank_workload(
+            machine, n_clients=3, txns_per_client=8,
+            server_mode=BackupMode.FULLBACK, server_cluster=2)
+        machine.crash_cluster(2, at=8_000)
+        machine.run(until=DEADLINE)
     completed = sum(1 for pid in clients if machine.exits.get(pid) == 0)
     return machine, clients, completed
 
@@ -51,9 +53,12 @@ def run_deposit_audit(ablate_suppression):
     then audit the balance sum.  Without write-count suppression the
     promoted client re-sends deposits the lost primary already made —
     money gets created twice and the audit total is inflated."""
-    config = MachineConfig(n_clusters=4, trace_enabled=False)
-    config.ablate_send_suppression = ablate_suppression
-    machine = Machine(config.validate())
+    with no_send_suppression() if ablate_suppression else nullcontext():
+        return _deposit_audit()
+
+
+def _deposit_audit():
+    machine = Machine(MachineConfig(n_clusters=4, trace_enabled=False))
     machine.spawn(
         BankServerProgram(clients=2, accounts=ACCOUNTS, audit=True,
                           expected_txns=2 * DEPOSITS_PER_CLIENT),

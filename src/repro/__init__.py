@@ -12,7 +12,7 @@ Quickstart::
 """
 
 from .backup.modes import BackupMode
-from .config import CostModel, MachineConfig, small_machine
+from .config import CostModel, MachineConfig
 from .core.machine import Machine, MachineError
 
 __version__ = "1.0.0"
@@ -21,7 +21,6 @@ __all__ = [
     "BackupMode",
     "CostModel",
     "MachineConfig",
-    "small_machine",
     "Machine",
     "MachineError",
     "__version__",

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..config import CostModel, MachineConfig
+from ..config import PAGE_SIZE, CostModel, MachineConfig
 
 
 class ModelError(Exception):
@@ -72,7 +72,7 @@ def expected_recovery_time(config: MachineConfig, params: SyncParameters,
     detection = config.poll_interval
     handling = 2_000  # crash-process base cost (recovery.crashhandler)
     page_ins = params.total_pages * (
-        2 * costs.bus_latency + config.page_size * costs.bus_ticks_per_byte
+        2 * costs.bus_latency + PAGE_SIZE * costs.bus_ticks_per_byte
         + costs.disk_block_access)
     return detection + handling + page_ins \
         + expected_rollforward(params, interval)

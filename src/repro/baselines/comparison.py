@@ -14,14 +14,8 @@ of each:
   100% work-processor duplicate and doubled bus traffic; recovery is
   instantaneous but the duplicate hardware adds no capacity.
 
-Two further regimes expose the recovery designs of the F5 shootout
-(:mod:`repro.baselines.designs`) as failure-free overhead points:
-
-* ``llft``   — LLFT-style leader/follower (arXiv:1004.1864): the backup
-  is reconciled after every input (``sync_reads_threshold=1``).
-* ``msglog`` — message logging + sparse checkpointing (arXiv:0911.3092):
-  a whole-state checkpoint every 32 operations, the saved message queue
-  as the log.
+The recovery designs of the F5 shootout live in one table,
+:data:`repro.baselines.designs.DESIGN_REGISTRY`.
 """
 
 from __future__ import annotations
@@ -105,12 +99,6 @@ def run_regime(regime: str, make_programs: Callable[[], List[Program]],
         elif regime == "checkpoint":
             machine.spawn(program, backup_mode=BackupMode.QUARTERBACK,
                           checkpoint_every=checkpoint_every)
-        elif regime == "llft":
-            machine.spawn(program, backup_mode=BackupMode.QUARTERBACK,
-                          sync_reads_threshold=1)
-        elif regime == "msglog":
-            machine.spawn(program, backup_mode=BackupMode.QUARTERBACK,
-                          checkpoint_every=32)
         else:
             raise ValueError(f"unknown regime {regime!r}")
     completion = machine.run_until_idle(max_events=max_events)

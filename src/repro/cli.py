@@ -38,14 +38,9 @@ from .workloads import (MemoryChurnProgram, TtyWriterProgram,
                         build_bank_workload)
 
 
-def _machine(args: argparse.Namespace) -> Machine:
-    return Machine(MachineConfig(n_clusters=args.clusters,
-                                 trace_enabled=False, seed=args.seed))
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
     def run(crash_at: Optional[int]) -> Machine:
-        machine = _machine(args)
+        machine = Machine(args.config)
         machine.spawn(TtyWriterProgram(lines=12, tag="demo",
                                        compute=2_000),
                       cluster=args.clusters - 1, sync_reads_threshold=3)
@@ -67,13 +62,12 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_topology(args: argparse.Namespace) -> int:
-    config = MachineConfig(n_clusters=args.clusters).validate()
-    print(Topology.default(config).render())
+    print(Topology.default(args.config).render())
     return 0
 
 
 def cmd_oltp(args: argparse.Namespace) -> int:
-    machine = _machine(args)
+    machine = Machine(args.config)
     if args.clusters < 3:
         print("oltp demo needs >= 3 clusters (fullback server)")
         return 2
@@ -93,9 +87,7 @@ def cmd_overhead(args: argparse.Namespace) -> int:
         return [MemoryChurnProgram(pages=4, rounds=30, compute=2_000,
                                    total_pages=48) for _ in range(2)]
 
-    config = MachineConfig(n_clusters=args.clusters,
-                           trace_enabled=False).validate()
-    results = compare_regimes(programs, config,
+    results = compare_regimes(programs, args.config,
                               sync_time_threshold=15_000,
                               checkpoint_every=8)
     floor = results[0]
@@ -128,13 +120,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(f"unknown fault kinds: {', '.join(named)}; "
                   f"known: {', '.join(known)}")
             return 2
-    loss_rate = args.loss_rate if args.loss_rate is not None else None
-    garble_rate = (args.garble_rate if args.garble_rate is not None
-                   else None)
     cache_dir = args.cache_dir or None
     seeds = range(args.base_seed, args.base_seed + args.seeds)
     report = run_campaign(seeds, n_clusters=args.clusters, kinds=kinds,
-                          loss_rate=loss_rate, garble_rate=garble_rate,
+                          loss_rate=args.loss_rate,
+                          garble_rate=args.garble_rate,
                           jobs=args.jobs, cache_dir=cache_dir)
     rows = []
     for result in report.results:
@@ -193,7 +183,8 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     for seed in seeds[:args.verify]:
         digest = report.results[seed - args.base_seed].digest
         redo = run_seed(seed, n_clusters=args.clusters, kinds=kinds,
-                        loss_rate=loss_rate, garble_rate=garble_rate,
+                        loss_rate=args.loss_rate,
+                        garble_rate=args.garble_rate,
                         cache=cache)
         same = redo.digest == digest
         verified &= same
@@ -375,13 +366,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     scenario_list.set_defaults(fn=cmd_scenario_list)
     args = parser.parse_args(argv)
     if hasattr(args, "clusters"):
-        # Check the machine values once, before any command runs or any
+        # The one machine config, checked before any command runs or any
         # campaign worker starts: a bad value is a usage error (exit 2).
         try:
-            MachineConfig(n_clusters=args.clusters, bus_faults=BusFaultConfig(
-                loss_rate=getattr(args, "loss_rate", None) or 0.0,
-                garble_rate=getattr(args, "garble_rate", None) or 0.0,
-            )).validate()
+            args.config = MachineConfig(
+                n_clusters=args.clusters, seed=args.seed,
+                trace_enabled=False, bus_faults=BusFaultConfig(
+                    loss_rate=getattr(args, "loss_rate", None) or 0.0,
+                    garble_rate=getattr(args, "garble_rate", None) or 0.0,
+                )).validate()
         except ConfigError as exc:
             parser.error(str(exc))
     if args.command == "campaign":

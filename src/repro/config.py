@@ -10,8 +10,8 @@ experiments compare configurations against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Dict, Optional, Tuple, Type
 
 from .types import Ticks
 
@@ -22,6 +22,80 @@ class ConfigError(Exception):
 
 #: The crash detectors ``MachineConfig.detector`` names.
 DETECTORS = ("poll", "heartbeat")
+
+#: Section 7.1: each cluster has two work processors (plus the
+#: executive processor and the peripheral processors, which are folded
+#: into the peripheral servers).
+WORK_PROCESSORS_PER_CLUSTER = 2
+#: Page size in bytes; address spaces are paged at this granularity.
+PAGE_SIZE = 1024
+#: Words (integer cells) per page: programs address memory in words.
+WORDS_PER_PAGE = 128
+
+
+@dataclass(frozen=True)
+class Knob:
+    """A config field that is also a ``machine:``/``bus:`` scenario key.
+
+    Declared once, as the field's metadata (:func:`knob`); ``validate()``
+    and the scenario schema both read the table built from it at import.
+    """
+
+    description: str
+    #: The scenario key, when it is not the field name.
+    key: str = ""
+    #: Legal range: ``min <= value < below``, or one of ``choices``.
+    min: Any = None
+    below: Any = None
+    choices: Optional[Tuple[str, ...]] = None
+    #: Whether a scenario may give null (keep the field default); if
+    #: not, an unset key normalizes to the field default.
+    nullable: bool = True
+    #: The range error, formatted with ``value``; derived from the range
+    #: unless given.
+    error: str = ""
+    #: The field's name and default, bound when the table is built.
+    name: str = ""
+    default: Any = None
+
+    def check(self, value: Any) -> None:
+        if self.choices is not None:
+            legal = value in self.choices
+        else:
+            legal = ((self.min is None or value >= self.min)
+                     and (self.below is None or value < self.below))
+        if not legal:
+            raise ConfigError(self.error.format(value=value))
+
+
+def knob(description: str, **spec: Any) -> Dict[str, Knob]:
+    """Field metadata declaring a scenario knob (keywords as
+    :class:`Knob`)."""
+    return {"knob": Knob(description, **spec)}
+
+
+def _range_error(name: str, spec: Knob) -> str:
+    if spec.choices is not None:
+        return (f"{name} must be one of {', '.join(spec.choices)}, "
+                f"got {{value!r}}")
+    if spec.below is not None:
+        return f"{name} must be in [{spec.min}, {spec.below}), got {{value}}"
+    if spec.min is not None:
+        return f"{name} must be >= {spec.min}"
+    return ""
+
+
+def _knobs(cls: Type[Any]) -> Tuple[Knob, ...]:
+    """The knobs of config dataclass ``cls``, in field order."""
+    table = []
+    for spec in fields(cls):
+        declared = spec.metadata.get("knob")
+        if declared is not None:
+            table.append(replace(
+                declared, name=spec.name, default=spec.default,
+                key=declared.key or spec.name,
+                error=declared.error or _range_error(spec.name, declared)))
+    return tuple(table)
 
 
 @dataclass
@@ -81,42 +155,39 @@ class BusFaultConfig:
     #: Probability an attempt is lost on the wire (split deterministically
     #: between payload loss and lost acknowledgement; an ack loss delivers
     #: but forces a retransmission, exercising duplicate suppression).
-    loss_rate: float = 0.0
+    loss_rate: float = field(default=0.0, metadata=knob(
+        "per-attempt loss probability", min=0, below=1, nullable=False))
     #: Probability an attempt arrives corrupted; the receiver's checksum
     #: rejects the whole transmission (all-or-none is trivially kept).
-    garble_rate: float = 0.0
+    garble_rate: float = field(default=0.0, metadata=knob(
+        "per-attempt garble probability", min=0, below=1,
+        nullable=False))
     #: Attempts allowed on one bus before the sender declares it suspect
     #: and fails over (if the alternate bus is still alive).
-    retry_limit: int = 4
+    retry_limit: int = field(default=4, metadata=knob(
+        "attempts before failover", min=1))
     #: Base retransmission backoff in ticks; doubles per attempt
     #: (capped at ``backoff_base << 10``).
-    backoff_base: Ticks = 200
+    backoff_base: Ticks = field(default=200, metadata=knob(
+        "base retransmission backoff", min=1))
     #: Consecutive failed attempts on one bus before it is declared dead.
-    failover_threshold: int = 3
+    failover_threshold: int = field(default=3, metadata=knob(
+        "failures before a bus is dead", min=1))
     #: Seed of the deterministic fault stream.
-    seed: int = 0
+    seed: int = field(default=0, metadata=knob(
+        "fault-stream seed", nullable=False))
 
     @property
     def enabled(self) -> bool:
         return self.loss_rate > 0.0 or self.garble_rate > 0.0
 
     def validate(self) -> "BusFaultConfig":
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ConfigError(f"loss_rate must be in [0, 1), "
-                              f"got {self.loss_rate}")
-        if not 0.0 <= self.garble_rate < 1.0:
-            raise ConfigError(f"garble_rate must be in [0, 1), "
-                              f"got {self.garble_rate}")
+        for spec in BUS_KNOBS:
+            spec.check(getattr(self, spec.name))
         if self.loss_rate + self.garble_rate > 0.9:
             raise ConfigError(
                 "loss_rate + garble_rate must leave >= 0.1 success "
                 f"probability, got {self.loss_rate + self.garble_rate}")
-        if self.retry_limit < 1:
-            raise ConfigError("retry_limit must be >= 1")
-        if self.backoff_base < 1:
-            raise ConfigError("backoff_base must be >= 1")
-        if self.failover_threshold < 1:
-            raise ConfigError("failover_threshold must be >= 1")
         return self
 
 
@@ -124,40 +195,44 @@ class BusFaultConfig:
 class MachineConfig:
     """Shape and policy of a simulated Auragen 4000 machine.
 
-    Constraints follow section 7.1: 2-32 clusters on a dual high-speed bus,
-    each with 3-7 M68000s of which two are work processors and one is the
-    executive processor (the rest drive peripherals, which we fold into the
-    peripheral servers).
+    Constraints follow section 7.1: 2-32 clusters on a dual high-speed
+    bus, each with :data:`WORK_PROCESSORS_PER_CLUSTER` work processors.
+    A field declared with :func:`knob` metadata is also a ``machine:``
+    scenario key.
     """
 
-    n_clusters: int = 3
-    work_processors_per_cluster: int = 2
+    n_clusters: int = field(default=3, metadata=knob(
+        "cluster count", key="clusters", min=2, below=33, nullable=False,
+        error="Auragen 4000 supports 2-32 clusters, got {value}"))
     #: Sync trigger: reads since last sync (section 7.8; tunable per
     #: process, this is the machine default).
-    sync_reads_threshold: int = 20
+    sync_reads_threshold: int = field(default=20, metadata=knob(
+        "reads between syncs", min=1))
     #: Sync trigger: execution time since last sync, in ticks.
-    sync_time_threshold: Ticks = 200_000
-    #: Page size in bytes; address spaces are paged at this granularity.
-    page_size: int = 1024
-    #: Words (integer cells) per page: programs address memory in words.
-    words_per_page: int = 128
+    sync_time_threshold: Ticks = field(default=200_000, metadata=knob(
+        "ticks between syncs", min=1))
     #: Failure-detector polling interval (7.10: "periodic polling of every
     #: cluster will discover the shutdown").
-    poll_interval: Ticks = 50_000
+    poll_interval: Ticks = field(default=50_000, metadata=knob(
+        "failure-detector poll ticks", min=1))
     #: Crash detector: ``"poll"`` alone, or ``"heartbeat"``, which runs
     #: beacon-based detection beside the poll detector (see
     #: :mod:`repro.recovery.detector`).  Detection latency is roughly
     #: ``(heartbeat_miss_threshold + 1) * heartbeat_interval`` versus
     #: ``poll_interval``.  With ``"poll"`` no monitor is built and the
     #: heartbeat knobs are unused.
-    detector: str = "poll"
+    detector: str = field(default="poll", metadata=knob(
+        "crash detector (heartbeat runs beside poll)", choices=DETECTORS))
     #: Heartbeat beacon period in ticks (per cluster, staggered by
     #: cluster id).
-    heartbeat_interval: Ticks = 5_000
+    heartbeat_interval: Ticks = field(default=5_000, metadata=knob(
+        "beacon period, ticks", min=1))
     #: Consecutive missed beacons before a peer is suspected dead.
-    heartbeat_miss_threshold: int = 3
+    heartbeat_miss_threshold: int = field(default=3, metadata=knob(
+        "missed beacons before suspicion", min=1))
     #: Peripheral-server explicit sync interval (requests between syncs).
-    server_sync_requests: int = 32
+    server_sync_requests: int = field(default=32, metadata=knob(
+        "server requests between syncs", min=1))
     costs: CostModel = field(default_factory=CostModel)
     #: Emit trace records (disable for large benchmark runs).
     trace_enabled: bool = True
@@ -165,55 +240,24 @@ class MachineConfig:
     #: default; the wall-clock benchmark harness turns it off so long
     #: runs keep streaming ``(count, total, min, max)`` aggregates only.
     metrics_raw_series: bool = True
-    #: Negative ablations (experiment E13): disable one pillar of the
-    #: design to demonstrate recovery depends on it.  Never set in
-    #: production use.
-    ablate_dest_backup_save: bool = False   # drop DEST_BACKUP copies (5.1)
-    ablate_send_suppression: bool = False   # ignore write counts (5.4)
     #: Transient-fault model for the dual bus (off by default; see
     #: :class:`BusFaultConfig`).  The machine stays free of runtime
     #: randomness — fault outcomes come from a seeded hash stream.
     bus_faults: BusFaultConfig = field(default_factory=BusFaultConfig)
     #: Workload RNG seed (the machine itself uses no randomness).
-    seed: int = 0
+    seed: int = field(default=0, metadata=knob(
+        "machine/workload RNG seed", nullable=False))
 
     def validate(self) -> "MachineConfig":
-        """Check section 7.1's machine constraints; return self."""
-        if not 2 <= self.n_clusters <= 32:
-            raise ConfigError(
-                f"Auragen 4000 supports 2-32 clusters, got {self.n_clusters}")
-        if self.work_processors_per_cluster < 1:
-            raise ConfigError("need at least one work processor per cluster")
-        total = self.work_processors_per_cluster + 1  # + executive
-        if not 3 <= total + 1 <= 8:  # +1 for at least one peripheral processor
-            raise ConfigError(
-                "cluster processor count out of the 3-7 M68000 range")
-        if self.sync_reads_threshold < 1:
-            raise ConfigError("sync_reads_threshold must be >= 1")
-        if self.sync_time_threshold < 1:
-            raise ConfigError("sync_time_threshold must be >= 1")
-        if self.page_size < 1 or self.words_per_page < 1:
-            raise ConfigError("page geometry must be positive")
-        if self.poll_interval < 1:
-            raise ConfigError("poll_interval must be >= 1")
-        if self.detector not in DETECTORS:
-            raise ConfigError(f"detector must be one of "
-                              f"{', '.join(DETECTORS)}, "
-                              f"got {self.detector!r}")
-        if self.heartbeat_interval < 1:
-            raise ConfigError("heartbeat_interval must be >= 1")
-        if self.heartbeat_miss_threshold < 1:
-            raise ConfigError("heartbeat_miss_threshold must be >= 1")
+        """Check every knob's range (section 7.1's machine constraints
+        among them); return self."""
+        for spec in MACHINE_KNOBS:
+            spec.check(getattr(self, spec.name))
         self.bus_faults.validate()
         return self
 
 
-def small_machine(n_clusters: int = 3, seed: int = 0,
-                  trace: bool = True,
-                  sync_reads_threshold: Optional[int] = None) -> MachineConfig:
-    """A convenient small test machine (3 clusters unless overridden)."""
-    config = MachineConfig(n_clusters=n_clusters, seed=seed,
-                           trace_enabled=trace)
-    if sync_reads_threshold is not None:
-        config.sync_reads_threshold = sync_reads_threshold
-    return config.validate()
+#: The knob tables, built once: ``validate()`` and the scenario schema
+#: (``machine:``/``bus:``) read them.
+MACHINE_KNOBS = _knobs(MachineConfig)
+BUS_KNOBS = _knobs(BusFaultConfig)

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..backup.modes import BackupMode
-from ..config import MachineConfig, small_machine
+from ..config import WORDS_PER_PAGE, MachineConfig
 from ..hardware.bus import InterclusterBus
 from ..hardware.cluster import Cluster
 from ..hardware.topology import Topology
@@ -63,8 +63,7 @@ class Machine:
 
     def __init__(self, config: Optional[MachineConfig] = None,
                  topology: Optional[Topology] = None) -> None:
-        self.config = (config if config is not None
-                       else small_machine()).validate()
+        self.config = (config or MachineConfig()).validate()
         self.metrics = MetricSet(
             keep_series=self.config.metrics_raw_series)
         self.trace = TraceLog(enabled=self.config.trace_enabled)
@@ -149,7 +148,7 @@ class Machine:
         self.fs_harness = install(
             "fs", FileServerProgram,
             ShadowFS(self.disks["disk0"], cluster_id=0,
-                     words_per_block=self.config.words_per_page),
+                     words_per_block=WORDS_PER_PAGE),
             fs_resource_handler)
         self.tty_harness = install("tty", TtyServerProgram, self.tty_device,
                                    tty_resource_handler)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple, TYPE_CHECKING
 
-from ..config import MachineConfig
+from ..config import WORK_PROCESSORS_PER_CLUSTER, MachineConfig
 from ..messages.message import Delivery, DeliveryRole, Message, MessageKind
 from ..metrics import MetricSet
 from ..sim import Simulator, TraceLog
@@ -82,7 +82,7 @@ class Cluster:
         self.executive = ExecutiveProcessor(cluster_id, sim, metrics)
         self.work_processors: List[WorkProcessor] = [
             WorkProcessor(cluster_id=cluster_id, index=i)
-            for i in range(config.work_processors_per_cluster)
+            for i in range(WORK_PROCESSORS_PER_CLUSTER)
         ]
         self.kernel: Optional["ClusterKernel"] = None
         self._outgoing: Deque[Message] = deque()

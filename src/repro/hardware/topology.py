@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from ..config import MachineConfig
+from ..config import PAGE_SIZE, WORK_PROCESSORS_PER_CLUSTER, MachineConfig
 from ..types import ClusterId
 from .disk import MirroredDisk
 
@@ -68,7 +68,7 @@ class Topology:
                                      if p.kind == "disk"):
             disks[spec.name] = MirroredDisk(
                 disk_id=index, ports=spec.ports, costs=self.config.costs,
-                block_size=self.config.page_size)
+                block_size=PAGE_SIZE)
         return disks
 
     # -- figure F1: the section 7.1 architecture diagram --------------------
@@ -82,7 +82,7 @@ class Topology:
             attached = [p.name for p in self.peripherals if cid in p.ports]
             lines.append(f"+{'-' * width}+")
             lines.append(f"| Processor Cluster {cid:<2}{' ' * (width - 21)} |")
-            lines.append(f"|  Work Processor(s) x{self.config.work_processors_per_cluster}"
+            lines.append(f"|  Work Processor(s) x{WORK_PROCESSORS_PER_CLUSTER}"
                          f"{' ' * (width - 23)} |")
             lines.append(f"|  Executive Processor{' ' * (width - 21)} |")
             lines.append(f"|  Shared Memory{' ' * (width - 15)} |")
@@ -102,7 +102,7 @@ class Topology:
         return {
             "clusters": self.config.n_clusters,
             "work_processors": (self.config.n_clusters
-                                * self.config.work_processors_per_cluster),
+                                * WORK_PROCESSORS_PER_CLUSTER),
             "executive_processors": self.config.n_clusters,
             "disks": sum(1 for p in self.peripherals if p.kind == "disk"),
             "ttys": sum(1 for p in self.peripherals if p.kind == "tty"),

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple, Type
 
 from ..backup.modes import BackupMode
-from ..config import MachineConfig
+from ..config import PAGE_SIZE, WORDS_PER_PAGE, MachineConfig
 from ..hardware.cluster import Cluster, group_legs
 from ..messages.message import (Delivery, DeliveryRole, Message, MessageKind,
                                 QueuedMessage)
@@ -200,7 +200,7 @@ class ClusterKernel:
         if pid in self.pcbs:
             raise KernelError(f"pid {pid} already exists in cluster "
                               f"{self.cluster_id}")
-        space = AddressSpace(self.config.words_per_page)
+        space = AddressSpace(WORDS_PER_PAGE)
         program.declare(space)
         space.make_fully_resident()
         if backup_cluster == AUTO_BACKUP:
@@ -434,8 +434,7 @@ class ClusterKernel:
         rolling forward and the entry's writes-since-sync count shows the
         lost primary already sent this message (5.4).
         """
-        if entry.writes_since_sync > 0 \
-                and not self.config.ablate_send_suppression:
+        if entry.writes_since_sync > 0:
             entry.writes_since_sync -= 1
             self.metrics.incr("recovery.sends_suppressed")
             self.trace.emit(self.sim.now, "recovery.suppress",
@@ -516,7 +515,7 @@ class ClusterKernel:
         self._send_page_channel(
             pcb, PageOut(pid=pcb.pid, page_no=page_no, data=data,
                          sync_seq=sync_seq),
-            size=self.config.page_size)
+            size=PAGE_SIZE)
         self.metrics.incr("paging.pages_shipped")
 
     def send_kernel_message(self, kind: MessageKind, payload: Any,
@@ -613,9 +612,6 @@ class ClusterKernel:
 
     def _deliver_dest_backup(self, message: Message, delivery: Delivery,
                              seqno: int) -> None:
-        if self.config.ablate_dest_backup_save:
-            self.metrics.incr("ablation.backup_copies_dropped")
-            return
         payload = message.payload
         if isinstance(payload, OpenReply) and payload.error is None:
             self._ensure_open_reply_entry(payload, delivery.pid,

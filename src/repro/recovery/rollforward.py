@@ -26,6 +26,7 @@ from typing import Any, Optional, TYPE_CHECKING
 
 from ..backup.modes import BackupMode
 from ..backup.sync import clamp_alarm_remaining
+from ..config import WORDS_PER_PAGE
 from ..kernel.pcb import BackupRecord, ProcState, ProcessControlBlock
 from ..kernel.nondet import NondetBuffer
 from ..messages.payloads import BackupReady, PageAccountOp
@@ -129,7 +130,7 @@ def _promote_from_sync_state(kernel: "ClusterKernel",
                              record: BackupRecord
                              ) -> ProcessControlBlock:
     """The normal path: resume from the last synchronized state."""
-    space = AddressSpace(kernel.config.words_per_page)
+    space = AddressSpace(WORDS_PER_PAGE)
     record.program.declare(space)
     space.evict_all()  # no pages resident: demand-fault from the account
     pcb = ProcessControlBlock(

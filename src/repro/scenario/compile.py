@@ -12,20 +12,15 @@ workload recipe and (optionally) one :class:`FaultPlan`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional, Tuple
 
-from ..config import BusFaultConfig, ConfigError, MachineConfig
+from ..config import (BUS_KNOBS, MACHINE_KNOBS, BusFaultConfig, ConfigError,
+                      Knob, MachineConfig)
 from ..faults.campaign import (BUS_FAULT_KINDS, MAX_EVENTS,
                                CampaignPlan, FaultPlan)
 from ..faults.kinds import FAULT_REGISTRY
 from . import yamlite
 from .schema import SchemaError, validate_scenario
-
-#: machine: keys copied straight onto MachineConfig when non-null.
-_MACHINE_PASSTHROUGH = ("sync_reads_threshold", "sync_time_threshold",
-                        "poll_interval", "detector", "heartbeat_interval",
-                        "heartbeat_miss_threshold", "server_sync_requests",
-                        "seed")
 
 
 @dataclass(frozen=True)
@@ -91,13 +86,9 @@ class CompiledScenario:
         """The faulted run's machine (explicit mode).  Sweep and
         baseline documents keep only the keys their modes accept, so
         for them this is the machine those keys describe."""
-        machine = self.doc["machine"]
-        config = MachineConfig(n_clusters=machine["clusters"])
-        for key in _MACHINE_PASSTHROUGH:
-            if machine.get(key) is not None:
-                setattr(config, key, machine[key])
-        config.bus_faults = self._bus_config()
-        return config.validate()
+        return MachineConfig(
+            bus_faults=self._bus_config(),
+            **_settings(MACHINE_KNOBS, self.doc["machine"])).validate()
 
     def baseline_config(self) -> MachineConfig:
         """The failure-free reference machine: identical, except the
@@ -108,11 +99,7 @@ class CompiledScenario:
         return config
 
     def _bus_config(self) -> BusFaultConfig:
-        # bus: keys are BusFaultConfig's field names; null keeps the
-        # field's default.
-        config = BusFaultConfig(**{
-            key: value for key, value in self.doc["bus"].items()
-            if value is not None})
+        config = BusFaultConfig(**_settings(BUS_KNOBS, self.doc["bus"]))
         plan = self.fault_plan
         if plan is not None and plan.kind in BUS_FAULT_KINDS:
             # A bus fault kind carries its own rates and stream seed;
@@ -135,6 +122,14 @@ class CompiledScenario:
 
     def canonical_yaml(self) -> str:
         return yamlite.dumps(self.canonical())
+
+
+def _settings(table: Tuple[Knob, ...],
+              section: Dict[str, Any]) -> Dict[str, Any]:
+    """A scenario section's set keys as config field values; a null or
+    absent key keeps the field default."""
+    return {spec.name: section[spec.key] for spec in table
+            if section.get(spec.key) is not None}
 
 
 def _prune(value: Any) -> Any:

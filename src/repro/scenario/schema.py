@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from ..config import DETECTORS
+from ..config import BUS_KNOBS, MACHINE_KNOBS, Knob
 from ..faults.kinds import FAULT_REGISTRY
 from .registry import (ParamSpec, RegistryError, unknown_name_message,
                        validate_params)
@@ -40,45 +40,24 @@ TOP_LEVEL_KEYS: Tuple[str, ...] = (
     "scenario", "description", "workload", "machine", "bus",
     "sweep", "fault", "baseline", "expect", "max_events")
 
-#: ``machine:`` — the cluster count plus field-by-field MachineConfig
-#: overrides (null = keep the config default).
-MACHINE_SPECS: Dict[str, ParamSpec] = {
-    "clusters": ParamSpec(int, "cluster count", default=3),
-    "sync_reads_threshold": ParamSpec(int, "reads between syncs",
-                                      default=None, nullable=True),
-    "sync_time_threshold": ParamSpec(int, "ticks between syncs",
-                                     default=None, nullable=True),
-    "poll_interval": ParamSpec(int, "failure-detector poll ticks",
-                               default=None, nullable=True),
-    "detector": ParamSpec(str, "crash detector (heartbeat runs beside "
-                               "poll)", default=None, nullable=True,
-                          choices=DETECTORS),
-    "heartbeat_interval": ParamSpec(int, "beacon period, ticks",
-                                    default=None, nullable=True),
-    "heartbeat_miss_threshold": ParamSpec(int, "missed beacons before "
-                                               "suspicion", default=None,
-                                          nullable=True),
-    "server_sync_requests": ParamSpec(int,
-                                      "server requests between syncs",
-                                      default=None, nullable=True),
-    "seed": ParamSpec(int, "machine/workload RNG seed", default=0),
-}
+def _knob_specs(table: Tuple[Knob, ...]) -> Dict[str, ParamSpec]:
+    """A config's knobs as a scenario section's schema, keyed by
+    scenario key.  A nullable knob defaults to null (keep the config
+    default); the others default to the field default."""
+    return {spec.key: ParamSpec(type(spec.default), spec.description,
+                                default=None if spec.nullable
+                                else spec.default,
+                                choices=spec.choices,
+                                nullable=spec.nullable)
+            for spec in table}
+
+
+#: ``machine:`` — the MachineConfig knobs (``clusters`` sets
+#: ``n_clusters``).
+MACHINE_SPECS = _knob_specs(MACHINE_KNOBS)
 
 #: ``bus:`` — the degraded-bus fault model (BusFaultConfig).
-BUS_SPECS: Dict[str, ParamSpec] = {
-    "loss_rate": ParamSpec(float, "per-attempt loss probability",
-                           default=0.0),
-    "garble_rate": ParamSpec(float, "per-attempt garble probability",
-                             default=0.0),
-    "retry_limit": ParamSpec(int, "attempts before failover",
-                             default=None, nullable=True),
-    "backoff_base": ParamSpec(int, "base retransmission backoff",
-                              default=None, nullable=True),
-    "failover_threshold": ParamSpec(int,
-                                    "failures before a bus is dead",
-                                    default=None, nullable=True),
-    "seed": ParamSpec(int, "fault-stream seed", default=0),
-}
+BUS_SPECS = _knob_specs(BUS_KNOBS)
 
 #: ``workload:`` — a registered recipe plus its params.
 WORKLOAD_SPECS: Dict[str, ParamSpec] = {

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Tuple, TYPE_CHECKING
 
+from ..config import PAGE_SIZE
 from ..messages.message import Delivery, DeliveryRole, MessageKind
 from ..messages.payloads import (PageAccountOp, PageIn, PageOut, PageReply,
                                  SyncPayload)
@@ -79,7 +80,7 @@ def page_resource_handler(harness: PeripheralServerHarness,
             MessageKind.DATA,
             PageReply(pid=pid, page_no=page_no, data=data),
             (Delivery(reply_cluster, DeliveryRole.PRIMARY_DEST, pid, None),),
-            size=kernel.config.page_size if data else 32)
+            size=PAGE_SIZE if data else 32)
         return cost, True
     if op == "sync":
         (pid,) = args

@@ -1,18 +1,16 @@
-"""Regression tests for the E13 ablation flags: they must actually break
-recovery (proving the mechanisms are load-bearing) and default to off."""
+"""Regression tests for the E13 ablations (``tests/ablations.py``): they
+must actually break recovery, proving the mechanisms are load-bearing,
+and they are method patches, not machine options."""
 
-from repro import MachineConfig
+import pytest
+
+from repro import Machine, MachineConfig
 from repro.workloads import TtyWriterProgram
-from tests.conftest import make_machine
+from tests.ablations import no_saved_queues, no_send_suppression
 
 
-def writer_run(crash_at=15_000, **config_overrides):
-    config = MachineConfig(n_clusters=3, trace_enabled=False)
-    for key, value in config_overrides.items():
-        setattr(config, key, value)
-    from repro import Machine
-
-    machine = Machine(config.validate())
+def writer_run(crash_at=15_000):
+    machine = Machine(MachineConfig(n_clusters=3, trace_enabled=False))
     pid = machine.spawn(TtyWriterProgram(lines=12, tag="a", compute=2_000),
                         cluster=2, sync_reads_threshold=3)
     machine.crash_cluster(2, at=crash_at)
@@ -21,9 +19,9 @@ def writer_run(crash_at=15_000, **config_overrides):
 
 
 def test_ablations_default_off():
-    config = MachineConfig()
-    assert config.ablate_dest_backup_save is False
-    assert config.ablate_send_suppression is False
+    # No machine option turns an ablation on: only the patches do.
+    with pytest.raises(TypeError):
+        MachineConfig(ablate_send_suppression=True)
 
 
 def test_without_saved_queues_recovery_stalls():
@@ -32,10 +30,11 @@ def test_without_saved_queues_recovery_stalls():
     # Recovery is broken by construction: the promoted writer either
     # stalls forever (no saved acks to replay) or trips over routing
     # entries that were never created (no saved open replies).
-    try:
-        machine, pid = writer_run(ablate_dest_backup_save=True)
-    except Exception:
-        return  # the machine itself fell over: conclusively broken
+    with no_saved_queues():
+        try:
+            machine, pid = writer_run()
+        except Exception:
+            return  # the machine itself fell over: conclusively broken
     assert machine.exits.get(pid) != 0 or \
         machine.tty_output() != baseline.tty_output()
     assert machine.metrics.counter("ablation.backup_copies_dropped") > 0
@@ -43,7 +42,8 @@ def test_without_saved_queues_recovery_stalls():
 
 def test_without_suppression_duplicates_reach_device():
     baseline, pid = writer_run()
-    machine, pid = writer_run(ablate_send_suppression=True)
+    with no_send_suppression():
+        machine, pid = writer_run()
     # Re-sent prints reach the terminal controller; only its dedup filter
     # (the last line of defense) keeps the screen clean.
     assert machine.metrics.counter("recovery.sends_suppressed") == 0

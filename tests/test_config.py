@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import ConfigError, CostModel, MachineConfig, small_machine
+from repro.config import ConfigError, CostModel, MachineConfig
 
 
 def test_default_config_is_valid():
@@ -18,17 +18,6 @@ def test_cluster_count_bounds():
         MachineConfig(n_clusters=33).validate()
 
 
-def test_work_processor_minimum():
-    with pytest.raises(ConfigError):
-        MachineConfig(work_processors_per_cluster=0).validate()
-
-
-def test_processor_count_stays_in_m68000_range():
-    # 2 work + 1 executive + >=1 peripheral must fit 3..7 processors.
-    with pytest.raises(ConfigError):
-        MachineConfig(work_processors_per_cluster=7).validate()
-
-
 def test_sync_thresholds_positive():
     with pytest.raises(ConfigError):
         MachineConfig(sync_reads_threshold=0).validate()
@@ -36,25 +25,9 @@ def test_sync_thresholds_positive():
         MachineConfig(sync_time_threshold=0).validate()
 
 
-def test_page_geometry_positive():
-    with pytest.raises(ConfigError):
-        MachineConfig(page_size=0).validate()
-    with pytest.raises(ConfigError):
-        MachineConfig(words_per_page=0).validate()
-
-
 def test_poll_interval_positive():
     with pytest.raises(ConfigError):
         MachineConfig(poll_interval=0).validate()
-
-
-def test_small_machine_helper():
-    config = small_machine(n_clusters=4, seed=9, trace=False,
-                           sync_reads_threshold=5)
-    assert config.n_clusters == 4
-    assert config.seed == 9
-    assert config.trace_enabled is False
-    assert config.sync_reads_threshold == 5
 
 
 def test_cost_model_defaults_positive():

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from repro.config import MachineConfig
+from repro.config import BUS_KNOBS, MACHINE_KNOBS, MachineConfig
 from repro.faults import CampaignPlan
 from repro.faults.kinds import FAULT_REGISTRY, fault_kinds_markdown
 from repro.scenario import yamlite
@@ -19,7 +19,8 @@ from repro.scenario.registry import (DuplicateNameError, EntryMetadata,
                                      UnknownNameError, validate_params)
 from repro.scenario.runner import (run_compiled, run_paths,
                                    scenario_files, validate_paths)
-from repro.scenario.schema import SchemaError, validate_scenario
+from repro.scenario.schema import (BUS_SPECS, MACHINE_SPECS, SchemaError,
+                                   validate_scenario)
 from repro.scenario.workloads import WORKLOAD_REGISTRY
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -426,6 +427,11 @@ def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
                                 "supports 2-32 clusters, got 1"),
         "poll.yaml": (pipeline + "machine:\n  poll_interval: 0\n",
                       "poll_interval must be >= 1"),
+        "sync-0.yaml": (pipeline + "machine:\n  server_sync_requests: 0\n",
+                        "server_sync_requests must be >= 1"),
+        "sync-neg.yaml": (pipeline
+                          + "machine:\n  server_sync_requests: -1\n",
+                          "server_sync_requests must be >= 1"),
         "loss.yaml": (pipeline + "bus:\n  loss_rate: 2.0\n",
                       "loss_rate must be in [0, 1), got 2.0"),
         "victim.yaml": (pipeline
@@ -447,6 +453,99 @@ def test_validate_rejects_a_retired_engine_block(tmp_path, capsys):
         MachineConfig(resilience=None)
     with pytest.raises(ModuleNotFoundError):
         import repro.resilience  # noqa: F401
+
+
+# -- machine: and bus: knobs --------------------------------------------
+
+KNOBS = [("machine", spec) for spec in MACHINE_KNOBS] \
+    + [("bus", spec) for spec in BUS_KNOBS]
+
+
+def _knob_ids(params):
+    return [f"{section}.{spec.key}" for section, spec in params]
+
+
+def _knob_doc(section, key, value):
+    return {"scenario": "knob",
+            "workload": {"recipe": "tty",
+                         "params": {"writers": 1, "lines": 2}},
+            section: {key: value}}
+
+
+@pytest.mark.parametrize("section,spec", KNOBS,
+                         ids=_knob_ids(KNOBS))
+def test_each_scenario_knob_sets_its_field(section, spec):
+    if spec.choices is not None:
+        value = next(choice for choice in spec.choices
+                     if choice != spec.default)
+    elif isinstance(spec.default, float):
+        value = 0.25
+    else:
+        value = spec.default + 1
+    compiled = compile_scenario(_knob_doc(section, spec.key, value),
+                                source="knob.yaml")
+    config = compiled.machine_config()
+    if section == "bus":
+        config = config.bus_faults
+    assert getattr(config, spec.name) == value != spec.default
+
+
+BOUNDED = [(section, spec) for section, spec in KNOBS if spec.error]
+
+
+@pytest.mark.parametrize("section,spec", BOUNDED,
+                         ids=_knob_ids(BOUNDED))
+def test_each_scenario_knob_rejects_an_out_of_range_value(section, spec):
+    if spec.choices is not None:
+        value = "bogus"
+    elif spec.below is not None:
+        value = spec.below
+    else:
+        value = spec.min - 1
+    with pytest.raises(SchemaError, match=r"^knob\.yaml: .*"
+                       + spec.key):
+        compile_scenario(_knob_doc(section, spec.key, value),
+                         source="knob.yaml")
+
+
+def _doc_table(heading):
+    """The rows of the docs/scenarios.md table whose header starts with
+    ``heading``: ``(key, default, range, meaning)`` per row."""
+    lines = (REPO / "docs" / "scenarios.md").read_text().splitlines()
+    start = lines.index(next(line for line in lines
+                             if line.startswith(f"| {heading}")))
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append(tuple(cell.strip().strip("`")
+                          for cell in line.strip("|").split("|")))
+    return rows
+
+
+def _doc_range(spec):
+    if spec.choices is not None:
+        return "`, `".join(spec.choices)
+    if isinstance(spec.below, int) and isinstance(spec.default, int):
+        return f"{spec.min}-{spec.below - 1}"
+    if spec.below is not None:
+        return f"[{spec.min}, {spec.below})"
+    if spec.min is not None:
+        return f">= {spec.min}"
+    return "any"
+
+
+@pytest.mark.parametrize("heading,table,specs", [
+    ("`machine:` key", MACHINE_KNOBS, MACHINE_SPECS),
+    ("`bus:` key", BUS_KNOBS, BUS_SPECS),
+], ids=["machine", "bus"])
+def test_docs_list_the_generated_knobs(heading, table, specs):
+    rows = _doc_table(heading)
+    assert [row[0] for row in rows] == list(specs)
+    for (key, default, legal, meaning), spec in zip(rows, table):
+        assert default == str(spec.default), key
+        assert legal == _doc_range(spec), key
+        assert meaning.startswith(spec.description), key
 
 
 def test_run_paths_reports_a_bad_machine_value_and_runs_the_rest(
